@@ -2,10 +2,13 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from dlgram.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 WOODS_FORM = ("exists(V0,window(V0),and(def(V1,car(V1),"
               "drove_through(john,V1,V0)),demolished(john,V0)))")
@@ -178,7 +181,9 @@ def test_gap_budget_flag(french_path, capsys):
 
 def test_bad_flag_values(english_path, capsys):
     assert main(["parse", "-g", english_path, "-s", "x", "--layer-cap", "0"]) == 2
+    assert capsys.readouterr().err == "error: layer cap must be at least 1\n"
     assert main(["parse", "-g", english_path, "-s", "x", "--gap-budget", "-1"]) == 2
+    assert capsys.readouterr().err == "error: gap budget must be nonnegative\n"
 
 
 def _run_cli(*argv):
@@ -197,9 +202,39 @@ def test_byte_identical_across_processes(english_path):
     assert a.stdout  # nonempty
 
 
+def test_woods_trace_json_golden(english_path):
+    # the trace lines and the chart dump, every provenance kind in both
+    # renderings, byte for byte
+    out = _run_cli("parse", "-g", english_path, "--trace", "--json",
+                   "-s", "john drove the car through and demolished a window")
+    assert out.returncode == 0
+    assert out.stdout == (GOLDEN / "woods_cli.txt").read_bytes()
+
+
+def _console_script_target(name):
+    """The "module:function" a [project.scripts] entry names, read from
+    pyproject.toml with a line scan (tomllib needs Python 3.11)."""
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    section = None
+    for line in pyproject.read_text().splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            key, _, value = line.partition("=")
+            if key.strip() == name:
+                return value.strip().strip('"')
+    raise LookupError(f"no console script {name!r} in {pyproject}")
+
+
 def test_console_entry_point_matches_module(english_path):
+    # run the declared entry point the way the installed wrapper does,
+    # so the test needs no `pip install` to put `dlgram` on PATH
+    module, _, func = _console_script_target("dlgram").partition(":")
+    wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
     argv = ["parse", "-g", english_path, "-s", "john laughed"]
     via_module = _run_cli(*argv)
-    via_script = subprocess.run(["dlgram", *argv], capture_output=True, timeout=120)
+    via_script = subprocess.run([sys.executable, "-c", wrapper, *argv],
+                                capture_output=True, timeout=120)
     assert via_module.returncode == via_script.returncode == 0
     assert via_module.stdout == via_script.stdout == b"laugh(john)\n"
