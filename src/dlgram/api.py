@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 from .coordination import CoordinationState
-from .engine import Chart, assert_input, close, extract, tokenize
+from .engine import Chart, assert_input, close, extract, full_parses, tokenize
 from .grammar import Grammar
 
 
@@ -18,12 +18,6 @@ class ParseRun:
     results: list
     constraints: list = field(default_factory=list)
     log: list = field(default_factory=list)
-
-
-def _has_full_parse(chart: Chart, grammar: Grammar) -> bool:
-    return any(e.category == grammar.start and e.start == 0
-               and e.end == chart.n and not e.is_zero_width
-               for e in chart.edges)
 
 
 def parse(grammar: Grammar, sentence: Union[str, Sequence[str]], *,
@@ -46,7 +40,7 @@ def parse(grammar: Grammar, sentence: Union[str, Sequence[str]], *,
             gap_budget=gap_budget, trace=trace)
         hook = coord.after_layer
     close(chart, grammar, hook, layer_cap)
-    if coord is not None and coord.constraints and not _has_full_parse(chart, grammar):
+    if coord is not None and coord.constraints and not full_parses(chart, grammar):
         coord.revive()
         close(chart, grammar, hook, layer_cap)
     if coord is not None:

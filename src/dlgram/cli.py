@@ -12,52 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .api import parse
-from .engine import (Coordinated, Derived, InputWord, LayerCapError, Lexical,
-                     Predicted, tokenize)
+from .engine import LayerCapError, tokenize
 from .grammar import GrammarError, load_grammar, validate
 from .reshape import reshape
 from .terms import canonical_text, canonical_texts
-
-
-@dataclass
-class RunConfig:
-    grammar_path: str
-    sentence: str = ""
-    sentence_file: str = ""
-    trace: bool = False
-    reshape: bool = False
-    reshape_too: bool = False
-    all_coord: bool = False
-    no_meta_coord: bool = False
-    json: bool = False
-    layer_cap: int = 64
-    gap_budget: int = 1
-
-    def __post_init__(self):
-        if self.layer_cap < 1:
-            raise ValueError("layer cap must be at least 1")
-        if self.gap_budget < 0:
-            raise ValueError("gap budget must be nonnegative")
-
-
-def _provenance_json(p) -> dict:
-    if isinstance(p, InputWord):
-        return {"kind": "input"}
-    if isinstance(p, Lexical):
-        return {"kind": "lexical", "rule": p.rule_id}
-    if isinstance(p, Derived):
-        return {"kind": "derived", "rule": p.rule_id, "children": list(p.children)}
-    if isinstance(p, Predicted):
-        if p.gap:
-            return {"kind": "gap", "source": p.source}
-        return {"kind": "predicted", "rule": p.rule_id, "children": list(p.children)}
-    if isinstance(p, Coordinated):
-        return {"kind": "coordinated", "constraint": p.constraint_id,
-                "source": p.source, "target": p.target}
-    return {"kind": "unknown"}
 
 
 def emit_json(results, chart, constraints=()) -> dict:
@@ -72,7 +32,7 @@ def emit_json(results, chart, constraints=()) -> dict:
                 "start": e.start,
                 "end": e.end,
                 "layer": e.layer,
-                "provenance": _provenance_json(e.provenance),
+                "provenance": e.provenance.json(),
             }
             for e in chart.edges
         ],
@@ -100,27 +60,36 @@ def emit_json(results, chart, constraints=()) -> dict:
     return doc
 
 
-def run(config: RunConfig) -> int:
-    """Parse every configured sentence and print results."""
+def _load(path: str, strict: bool):
+    """The grammar at path, or None once the reason it cannot be loaded
+    is printed."""
     try:
-        grammar = load_grammar(config.grammar_path)
+        return load_grammar(path, strict=strict)
     except FileNotFoundError:
-        print(f"error: cannot read {config.grammar_path}", file=sys.stderr)
-        return 2
+        print(f"error: cannot read {path}", file=sys.stderr)
     except GrammarError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
+def run(args: argparse.Namespace) -> int:
+    """Parse every sentence the parse command names and print results."""
+    grammar = _load(args.grammar, strict=True)
+    if grammar is None:
         return 2
 
-    if config.sentence:
-        sentences = [config.sentence]
+    if args.sentence:
+        sentences = [args.sentence]
     else:
         try:
-            with open(config.sentence_file, encoding="utf-8") as f:
+            with open(args.sentence_file, encoding="utf-8") as f:
                 sentences = [ln.strip() for ln in f if ln.strip()]
         except FileNotFoundError:
-            print(f"error: cannot read {config.sentence_file}", file=sys.stderr)
+            print(f"error: cannot read {args.sentence_file}", file=sys.stderr)
             return 2
 
+    reshapes = [name for name, on in (("distrib", args.reshape),
+                                      ("too", args.reshape_too)) if on]
     status = 0
     for sentence in sentences:
         tokens = tokenize(sentence)
@@ -128,14 +97,14 @@ def run(config: RunConfig) -> int:
             print(f"no tokens: {sentence}", file=sys.stderr)
             status = 1
             continue
-        trace_sink = (lambda line: print(line)) if config.trace else None
+        trace_sink = (lambda line: print(line)) if args.trace else None
         try:
             outcome = parse(
                 grammar, tokens,
-                meta_coordination=not config.no_meta_coord,
-                all_solutions=config.all_coord,
-                gap_budget=config.gap_budget,
-                layer_cap=config.layer_cap,
+                meta_coordination=not args.no_meta_coord,
+                all_solutions=args.all_coord,
+                gap_budget=args.gap_budget,
+                layer_cap=args.layer_cap,
                 trace=trace_sink,
             )
         except LayerCapError as exc:
@@ -144,39 +113,28 @@ def run(config: RunConfig) -> int:
             continue
 
         forms = [r.logical_form for r in outcome.results]
-        if config.reshape or config.reshape_too:
-            enabled = []
-            if config.reshape:
-                enabled.append("distrib")
-            if config.reshape_too:
-                enabled.append("too")
-            forms = [reshape(f, grammar, enabled) for f in forms]
+        if reshapes:
+            forms = [reshape(f, grammar, reshapes) for f in forms]
 
-        if config.json:
+        if args.json:
             doc = emit_json(outcome.results, outcome.chart, outcome.constraints)
-            if config.reshape or config.reshape_too:
+            if reshapes:
                 for entry, f in zip(doc["parses"], forms):
                     entry["logical_form"] = canonical_text(f)
             print(json.dumps(doc))
+        elif forms:
+            for f in forms:
+                print(canonical_text(f))
         else:
-            if forms:
-                for f in forms:
-                    print(canonical_text(f))
-            else:
-                print(f"no parse: {' '.join(tokens)}")
+            print(f"no parse: {' '.join(tokens)}")
         if not forms:
             status = 1
     return status
 
 
 def _check(grammar_path: str) -> int:
-    try:
-        grammar = load_grammar(grammar_path, strict=False)
-    except FileNotFoundError:
-        print(f"error: cannot read {grammar_path}", file=sys.stderr)
-        return 2
-    except GrammarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    grammar = _load(grammar_path, strict=False)
+    if grammar is None:
         return 2
     diagnostics = validate(grammar)
     for d in diagnostics:
@@ -214,24 +172,13 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     if args.command == "check":
         return _check(args.grammar)
-    try:
-        config = RunConfig(
-            grammar_path=args.grammar,
-            sentence=args.sentence,
-            sentence_file=args.sentence_file,
-            trace=args.trace,
-            reshape=args.reshape,
-            reshape_too=args.reshape_too,
-            all_coord=args.all_coord,
-            no_meta_coord=args.no_meta_coord,
-            json=args.json,
-            layer_cap=args.layer_cap,
-            gap_budget=args.gap_budget,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.layer_cap < 1:
+        print("error: layer cap must be at least 1", file=sys.stderr)
         return 2
-    return run(config)
+    if args.gap_budget < 0:
+        print("error: gap budget must be nonnegative", file=sys.stderr)
+        return 2
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -43,20 +43,20 @@ class CoordConstraint:
 
 
 def post(chart: Chart, grammar: Grammar, state: "CoordinationState") -> list:
-    """One new constraint per conjunction edge that does not own one yet.
+    """One new constraint per conjunction edge added since the last post.
     The connective is the conj edge's single argument."""
     new = []
-    for e in chart.edges:
-        if e.category != grammar.conj_category or e.id in state.posted_for:
+    for e in chart.edges[state.posted_upto:]:
+        if e.category != grammar.conj_category:
             continue
         conn = e.args[0].name if e.args else "and"
         c = CoordConstraint(
             id=len(state.constraints) + 1,
             conj_edge_id=e.id, n=e.start, m=e.end, connective=conn)
-        state.posted_for.add(e.id)
         state.constraints.append(c)
         new.append(c)
         state.log_line(f"C{c.id}: posted {grammar.conj_category}({conn},{c.n},{c.m})")
+    state.posted_upto = len(chart.edges)
     return new
 
 
@@ -78,7 +78,8 @@ def refresh_agenda(c: CoordConstraint, chart: Chart) -> CoordConstraint:
     left = [e for e in chart.ending_at(c.n) if usable(e)]
     right = [e for e in chart.starting_at(c.m) if usable(e)]
     # span-length ordering; ties broken by content so that evaluation
-    # order does not depend on edge ids
+    # order does not depend on edge ids.  With one end fixed, the keys
+    # are the chart's dedup keys, so the order is total.
     left.sort(key=lambda e: (-e.start, e.category, canonical_text(e.args)))
     right.sort(key=lambda e: (e.end, e.category, canonical_text(e.args)))
     agenda = [Candidate(LEFT_COMPLETE, e.category, e.id,
@@ -173,7 +174,7 @@ class CoordinationState:
         self.gap_budget = gap_budget
         self.trace = trace
         self.constraints: list = []
-        self.posted_for: set = set()
+        self.posted_upto = 0  # chart edges below this id have been posted
         self.log: list = []
         self._revival_pending = False
 

@@ -21,25 +21,47 @@ D_CATEGORY = "'D'"
 LEFTWARD = "leftward"
 RIGHTWARD = "rightward"
 
+# recursion limit of predict's rule descent
+PREDICT_DEPTH_CAP = 16
+
 
 class LayerCapError(RuntimeError):
     """Raised when closure exceeds the configured layer limit."""
 
 
+# Provenances: text() is the --trace rendering, json() the --json one.
+
 @dataclass(frozen=True)
 class InputWord:
-    pass
+    def text(self) -> str:
+        return "input"
+
+    def json(self) -> dict:
+        return {"kind": "input"}
 
 
 @dataclass(frozen=True)
 class Lexical:
     rule_id: int
 
+    def text(self) -> str:
+        return f"lexical r{self.rule_id}"
+
+    def json(self) -> dict:
+        return {"kind": "lexical", "rule": self.rule_id}
+
 
 @dataclass(frozen=True)
 class Derived:
     rule_id: int
     children: tuple
+
+    def text(self) -> str:
+        return f"derived r{self.rule_id}"
+
+    def json(self) -> dict:
+        return {"kind": "derived", "rule": self.rule_id,
+                "children": list(self.children)}
 
 
 @dataclass(frozen=True)
@@ -49,12 +71,29 @@ class Predicted:
     children: tuple = ()
     source: Optional[int] = None  # edge abstracted from, for gaps
 
+    def text(self) -> str:
+        return (f"gap from e{self.source}" if self.gap
+                else f"predicted r{self.rule_id}")
+
+    def json(self) -> dict:
+        if self.gap:
+            return {"kind": "gap", "source": self.source}
+        return {"kind": "predicted", "rule": self.rule_id,
+                "children": list(self.children)}
+
 
 @dataclass(frozen=True)
 class Coordinated:
     constraint_id: int
     source: int
     target: int
+
+    def text(self) -> str:
+        return f"coordinated c{self.constraint_id}"
+
+    def json(self) -> dict:
+        return {"kind": "coordinated", "constraint": self.constraint_id,
+                "source": self.source, "target": self.target}
 
 
 @dataclass(frozen=True)
@@ -81,24 +120,6 @@ class Edge:
         return f"{self.category}({inner}{self.start},{self.end})"
 
 
-def edge_text(e: Edge) -> str:
-    return repr(e)
-
-
-def _provenance_text(p) -> str:
-    if isinstance(p, InputWord):
-        return "input"
-    if isinstance(p, Lexical):
-        return f"lexical r{p.rule_id}"
-    if isinstance(p, Derived):
-        return f"derived r{p.rule_id}"
-    if isinstance(p, Predicted):
-        return f"gap from e{p.source}" if p.gap else f"predicted r{p.rule_id}"
-    if isinstance(p, Coordinated):
-        return f"coordinated c{p.constraint_id}"
-    return "?"
-
-
 class Chart:
     """Append-only, variant-deduplicated edge store with positional
     indexes and per-layer deltas.  Confined to a single parse."""
@@ -110,8 +131,10 @@ class Chart:
         self.layers: list = []
         self.trace: Optional[Callable[[str], None]] = None
         self._dedup: dict = {}
-        self._by_start: dict = {}
-        self._by_end: dict = {}
+        self._by_start: dict = {}  # (category, start) -> edge ids
+        self._by_end: dict = {}  # (category, end) -> edge ids
+        self._from: dict = {}  # start -> edge ids
+        self._to: dict = {}  # end -> edge ids
 
     @property
     def current_layer(self) -> int:
@@ -143,9 +166,11 @@ class Chart:
         self._dedup[key] = e.id
         self._by_start.setdefault((category, start), []).append(e.id)
         self._by_end.setdefault((category, end), []).append(e.id)
+        self._from.setdefault(start, []).append(e.id)
+        self._to.setdefault(end, []).append(e.id)
         self.layers[-1].append(e.id)
         if self.trace:
-            self.trace(f"T{e.layer}: {edge_text(e)}  [{_provenance_text(provenance)}]")
+            self.trace(f"T{e.layer}: {e!r}  [{provenance.text()}]")
         return e, True
 
     def at_start(self, category: str, start: int) -> list:
@@ -155,10 +180,10 @@ class Chart:
         return [self.edges[i] for i in self._by_end.get((category, end), ())]
 
     def ending_at(self, end: int) -> list:
-        return [e for e in self.edges if e.end == end]
+        return [self.edges[i] for i in self._to.get(end, ())]
 
     def starting_at(self, start: int) -> list:
-        return [e for e in self.edges if e.start == start]
+        return [self.edges[i] for i in self._from.get(start, ())]
 
     def layer_edges(self, k: int) -> list:
         return [self.edges[i] for i in self.layers[k - 1]]
@@ -239,25 +264,31 @@ def match_rule(rule: Rule, delta: Optional[set], chart: Chart,
     return out
 
 
+def _renamed(rule: Rule) -> tuple:
+    """The rule renamed apart, with one shared mapping: (head args, one
+    argument vector per body item, None for terminals)."""
+    vectors = [rule.head.args] + [
+        it.args for it in rule.body if isinstance(it, NonTerminal)]
+    renamed = rename_fresh_all([t for vec in vectors for t in vec])
+    i = len(rule.head.args)
+    head_args, body_args = renamed[:i], []
+    for it in rule.body:
+        if isinstance(it, NonTerminal):
+            body_args.append(renamed[i:i + len(it.args)])
+            i += len(it.args)
+        else:
+            body_args.append(None)
+    return head_args, body_args
+
+
 def _instantiate(rule: Rule, chosen: Sequence[Edge]) -> Optional[Derivation]:
     """Rename the rule apart and unify body items with the chosen edges."""
-    nt_vectors = [rule.head.args] + [
-        it.args for it in rule.body if isinstance(it, NonTerminal)]
-    flat = [t for vec in nt_vectors for t in vec]
-    renamed = rename_fresh_all(flat)
-    vectors = []
-    i = 0
-    for vec in nt_vectors:
-        vectors.append(renamed[i:i + len(vec)])
-        i += len(vec)
-    head_args = vectors[0]
+    head_args, body_args = _renamed(rule)
     s = EMPTY_SUBST
-    vi = 1
-    for item, edge in zip(rule.body, chosen):
-        if isinstance(item, Terminal):
+    for args, edge in zip(body_args, chosen):
+        if args is None:
             continue
-        s = unify_all(vectors[vi], edge.args, s)
-        vi += 1
+        s = unify_all(args, edge.args, s)
         if s is None:
             return None
     return Derivation(
@@ -328,16 +359,19 @@ def derivation_edges(chart: Chart, root: Edge) -> list:
         if e.category == D_CATEGORY:
             continue
         out.append((e, depth))
-        p = e.provenance
-        kids = ()
-        if isinstance(p, (Derived, Predicted)):
-            kids = p.children
-        elif isinstance(p, Coordinated):
-            kids = tuple(sorted((p.source, p.target),
-                                key=lambda i: chart.edges[i].start))
-        for k in kids:
+        for k in _children(chart, e):
             stack.append((chart.edges[k], depth + 1))
     return out
+
+
+def _children(chart: Chart, e: Edge) -> Sequence[int]:
+    """Ids of the edges e was derived from, left to right."""
+    p = e.provenance
+    if isinstance(p, (Derived, Predicted)):
+        return p.children
+    if isinstance(p, Coordinated):
+        return sorted((p.source, p.target), key=lambda i: chart.edges[i].start)
+    return ()
 
 
 def _find_correspondent(chart: Chart, source: Edge, category: str) -> Optional[Edge]:
@@ -357,8 +391,7 @@ def _find_correspondent(chart: Chart, source: Edge, category: str) -> Optional[E
 
 
 def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
-            direction: str, source: Edge, gap_budget: int = 1,
-            depth_cap: int = 16) -> Optional[Edge]:
+            direction: str, source: Edge, gap_budget: int = 1) -> Optional[Edge]:
     """Find or reconstruct a constituent of `category` touching `anchor`
     (starting there when rightward, ending there when leftward).
 
@@ -402,9 +435,10 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
             opts.sort(key=lambda e: (-e.start, canonical_text(e.args)))
         return opts
 
-    def seat_item(item, pos: int, s, budget: int, depth: int):
-        """Yield (child, next_pos, subst, budget).  child is an Edge or a
-        _TrialEdge; next_pos advances along the build direction."""
+    def seat_item(item, args, pos: int, s, budget: int, depth: int):
+        """Yield (child, next_pos, subst, budget) for a body item whose
+        renamed arguments are args.  child is an Edge or a _TrialEdge;
+        next_pos advances along the build direction."""
         if isinstance(item, Terminal):
             words = (chart.at_start(D_CATEGORY, pos) if direction == RIGHTWARD
                      else chart.at_end(D_CATEGORY, pos))
@@ -413,17 +447,17 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
                     yield e, (e.end if direction == RIGHTWARD else e.start), s, budget
             return
         for e in real_options(item.category, pos):
-            s2 = unify_all(item.args, e.args, s)
+            s2 = unify_all(args, e.args, s)
             if s2 is not None:
                 yield e, (e.end if direction == RIGHTWARD else e.start), s2, budget
-        if depth < depth_cap:
+        if depth < PREDICT_DEPTH_CAP:
             for te, budget2 in build(item.category, pos, budget, depth + 1):
-                s2 = unify_all(item.args, te.args, s)
+                s2 = unify_all(args, te.args, s)
                 if s2 is not None:
                     yield te, (te.end if direction == RIGHTWARD else te.start), s2, budget2
         te = gap_edge(item.category, pos, budget)
         if te is not None:
-            s2 = unify_all(item.args, te.args, s)
+            s2 = unify_all(args, te.args, s)
             if s2 is not None:
                 yield te, pos, s2, budget - 1
 
@@ -431,44 +465,24 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
         """Yield (_TrialEdge, budget) for constituents of cat built from
         the rules, touching pos on the anchored side, width >= 1."""
         for rule in grammar.rules_for(cat):
-            nt_vectors = [rule.head.args] + [
-                it.args for it in rule.body if isinstance(it, NonTerminal)]
-            flat = [t for vec in nt_vectors for t in vec]
-            renamed = rename_fresh_all(flat)
-            vectors = []
-            i = 0
-            for vec in nt_vectors:
-                vectors.append(renamed[i:i + len(vec)])
-                i += len(vec)
-            head_args = vectors[0]
-            items = list(rule.body)
-            nt_index = []
-            vi = 1
-            for it in items:
-                if isinstance(it, NonTerminal):
-                    nt_index.append(vi)
-                    vi += 1
-                else:
-                    nt_index.append(None)
-            order = range(len(items)) if direction == RIGHTWARD \
-                else range(len(items) - 1, -1, -1)
-            order = list(order)
+            head_args, body_args = _renamed(rule)
+            order = list(range(len(rule.body)))
+            if direction == LEFTWARD:
+                order.reverse()
 
             def seat_all(k: int, pos_k: int, s, budget_k: int, chosen: dict):
                 if k == len(order):
                     yield s, budget_k, dict(chosen)
                     return
                 idx = order[k]
-                item = items[idx]
-                if nt_index[idx] is not None:
-                    item = NonTerminal(item.category, vectors[nt_index[idx]])
-                for child, nxt, s2, b2 in seat_item(item, pos_k, s, budget_k, depth):
+                for child, nxt, s2, b2 in seat_item(
+                        rule.body[idx], body_args[idx], pos_k, s, budget_k, depth):
                     chosen[idx] = child
                     yield from seat_all(k + 1, nxt, s2, b2, chosen)
                     del chosen[idx]
 
             for s, budget_left, chosen in seat_all(0, pos, EMPTY_SUBST, budget, {}):
-                kids = [chosen[i] for i in range(len(items))]
+                kids = [chosen[i] for i in range(len(rule.body))]
                 span_start = min(c.start for c in kids)
                 span_end = max(c.end for c in kids)
                 if span_start == span_end:
@@ -524,17 +538,8 @@ def format_derivation(chart: Chart, root: Edge) -> str:
     lines: list = []
 
     def walk(e: Edge, indent: int):
-        lines.append("  " * indent
-                     + f"{edge_text(e)}  [{_provenance_text(e.provenance)}]")
-        p = e.provenance
-        if isinstance(p, (Derived, Predicted)):
-            kids = p.children
-        elif isinstance(p, Coordinated):
-            kids = tuple(sorted((p.source, p.target),
-                                key=lambda i: chart.edges[i].start))
-        else:
-            kids = ()
-        for k in kids:
+        lines.append("  " * indent + f"{e!r}  [{e.provenance.text()}]")
+        for k in _children(chart, e):
             walk(chart.edges[k], indent + 1)
 
     walk(root, 0)
@@ -557,15 +562,16 @@ def logical_form_of(edge: Edge) -> Term:
     return Compound(edge.category, edge.args)
 
 
+def full_parses(chart: Chart, grammar: Grammar) -> list:
+    """Start-category edges spanning the whole input, in chart order."""
+    return [e for e in chart.at_start(grammar.start, 0)
+            if e.end == chart.n and not e.is_zero_width]
+
+
 def extract(chart: Chart, grammar: Grammar, constraint_log=()) -> list:
     """One ParseResult per start-category edge spanning the whole input."""
-    results = []
-    for e in chart.edges:
-        if (e.category == grammar.start and e.start == 0 and e.end == chart.n
-                and not e.is_zero_width):
-            results.append(ParseResult(
-                root=e,
-                logical_form=logical_form_of(e),
-                layer_count=len(chart.layers),
-                constraint_log=tuple(constraint_log)))
-    return results
+    return [ParseResult(root=e,
+                        logical_form=logical_form_of(e),
+                        layer_count=len(chart.layers),
+                        constraint_log=tuple(constraint_log))
+            for e in full_parses(chart, grammar)]
