@@ -65,7 +65,7 @@ def _load(path: str, strict: bool):
     is printed."""
     try:
         return load_grammar(path, strict=strict)
-    except FileNotFoundError:
+    except (OSError, UnicodeDecodeError):
         print(f"error: cannot read {path}", file=sys.stderr)
     except GrammarError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -84,7 +84,7 @@ def run(args: argparse.Namespace) -> int:
         try:
             with open(args.sentence_file, encoding="utf-8") as f:
                 sentences = [ln.strip() for ln in f if ln.strip()]
-        except FileNotFoundError:
+        except (OSError, UnicodeDecodeError):
             print(f"error: cannot read {args.sentence_file}", file=sys.stderr)
             return 2
 

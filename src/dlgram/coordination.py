@@ -44,12 +44,13 @@ class CoordConstraint:
 
 def post(chart: Chart, grammar: Grammar, state: "CoordinationState") -> list:
     """One new constraint per conjunction edge added since the last post.
-    The connective is the conj edge's single argument."""
+    The connective is the conj edge's single argument, a constant (the
+    grammar's validation guarantees both)."""
     new = []
     for e in chart.edges[state.posted_upto:]:
         if e.category != grammar.conj_category:
             continue
-        conn = e.args[0].name if e.args else "and"
+        conn = e.args[0].name
         c = CoordConstraint(
             id=len(state.constraints) + 1,
             conj_edge_id=e.id, n=e.start, m=e.end, connective=conn)
@@ -126,12 +127,13 @@ def attempt(c: CoordConstraint, chart: Chart, grammar: Grammar,
             continue
         cand.tried = True
         source = chart.edges[cand.edge_id]
+        # step orders (source, predicted) left to right
         if cand.side == LEFT_COMPLETE:
-            predicted = predict(grammar, chart, cand.category, c.m,
-                                RIGHTWARD, source, state.gap_budget)
+            anchor, direction, step = c.m, RIGHTWARD, 1
         else:
-            predicted = predict(grammar, chart, cand.category, c.n,
-                                LEFTWARD, source, state.gap_budget)
+            anchor, direction, step = c.n, LEFTWARD, -1
+        predicted = predict(grammar, chart, cand.category, anchor,
+                            direction, source, state.gap_budget)
         if predicted is None:
             state.log_line(
                 f"C{c.id}: try {cand.side} {_spanned(source)} -> fail")
@@ -139,10 +141,7 @@ def attempt(c: CoordConstraint, chart: Chart, grammar: Grammar,
         state.log_line(
             f"C{c.id}: try {cand.side} {_spanned(source)} "
             f"-> predicted {_spanned(predicted)}")
-        if cand.side == LEFT_COMPLETE:
-            left, right = source, predicted
-        else:
-            left, right = predicted, source
+        left, right = (source, predicted)[::step]
         combined = combine(left, right, c.connective, grammar, chart,
                            c.id, source.id, predicted.id)
         c.resolutions.append((source.id, predicted.id, combined.id))

@@ -10,6 +10,7 @@ empty.  A per-layer hook lets the coordination machinery inject edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 from .grammar import Grammar, NonTerminal, Rule, Terminal
@@ -66,20 +67,26 @@ class Derived:
 
 @dataclass(frozen=True)
 class Predicted:
-    gap: bool
-    rule_id: Optional[int] = None
-    children: tuple = ()
-    source: Optional[int] = None  # edge abstracted from, for gaps
+    rule_id: int
+    children: tuple
 
     def text(self) -> str:
-        return (f"gap from e{self.source}" if self.gap
-                else f"predicted r{self.rule_id}")
+        return f"predicted r{self.rule_id}"
 
     def json(self) -> dict:
-        if self.gap:
-            return {"kind": "gap", "source": self.source}
         return {"kind": "predicted", "rule": self.rule_id,
                 "children": list(self.children)}
+
+
+@dataclass(frozen=True)
+class Gap:
+    source: int  # edge the arguments were abstracted from
+
+    def text(self) -> str:
+        return f"gap from e{self.source}"
+
+    def json(self) -> dict:
+        return {"kind": "gap", "source": self.source}
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,7 @@ class Edge:
 
     @property
     def is_gap(self) -> bool:
-        return isinstance(self.provenance, Predicted) and self.provenance.gap
+        return isinstance(self.provenance, Gap)
 
     def __repr__(self):
         inner = canonical_text(self.args)
@@ -336,17 +343,15 @@ def close(chart: Chart, grammar: Grammar,
 # ---------------------------------------------------------------------------
 # Top-down prediction
 
-@dataclass
-class _TrialEdge:
-    ref: int  # index into the trial list
+@dataclass(frozen=True)
+class _Trial:
+    """A constituent predict has built but not committed to the chart."""
     category: str
     args: tuple
     start: int
     end: int
-    gap: bool = False
-    rule_id: Optional[int] = None
-    children: tuple = ()  # ints are chart ids, ("t", ref) are trial refs
-    source: Optional[int] = None
+    origin: object  # the rule id, or the Gap provenance of a gap
+    children: tuple = ()  # Edge or _Trial, in build order
 
 
 def derivation_edges(chart: Chart, root: Edge) -> list:
@@ -395,22 +400,27 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     """Find or reconstruct a constituent of `category` touching `anchor`
     (starting there when rightward, ending there when leftward).
 
-    Recursive descent over the grammar rules: each body nonterminal is
-    satisfied by an existing chart edge, else by recursive prediction,
-    else, while the gap budget lasts, by a zero-width gap whose
-    arguments are abstracted from the structurally corresponding
+    Recursive descent over the grammar rules, seating each body in build
+    order: body order rightward, reversed body order leftward.  Each body
+    nonterminal is satisfied by an existing chart edge, else by recursive
+    prediction, else, while the gap budget lasts, by a zero-width gap
+    whose arguments are abstracted from the structurally corresponding
     constituent inside the source derivation.  Terminals only ever match
     real input.  The first full seating wins; its edges (gaps included)
-    are committed to the chart.  Predicted roots must cover at least one
-    token.
+    are committed to the chart in post-order, children in build order,
+    which is the order in which the search created them.  Predicted
+    roots must cover at least one token.
     """
-    if direction not in (LEFTWARD, RIGHTWARD):
+    # touching(cat, pos): chart edges on the anchored side of pos; far(e):
+    # where the next item in build order starts; step: build order
+    if direction == RIGHTWARD:
+        touching, far, step = chart.at_start, attrgetter("end"), 1
+    elif direction == LEFTWARD:
+        touching, far, step = chart.at_end, attrgetter("start"), -1
+    else:
         raise ValueError(f"unknown direction {direction!r}")
-    trial: list = []
 
-    def gap_edge(cat: str, pos: int, budget: int):
-        if budget <= 0:
-            return None
+    def gap(cat: str, pos: int) -> Optional[_Trial]:
         corr = _find_correspondent(chart, source, cat)
         if corr is None:
             return None
@@ -419,118 +429,66 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
             gap_args, _ = abstract_over(corr.args, scope_pos)
         else:
             gap_args = tuple(fresh_var("_") for _ in range(grammar.arity(cat)))
-        te = _TrialEdge(len(trial), cat, gap_args, pos, pos,
-                        gap=True, source=corr.id)
-        trial.append(te)
-        return te
+        return _Trial(cat, gap_args, pos, pos, Gap(corr.id))
 
-    def real_options(cat: str, pos: int) -> list:
-        """Existing edges usable for a body item, shortest span first;
-        ties broken by content, never by edge id."""
-        if direction == RIGHTWARD:
-            opts = [e for e in chart.at_start(cat, pos) if not e.is_zero_width]
-            opts.sort(key=lambda e: (e.end, canonical_text(e.args)))
-        else:
-            opts = [e for e in chart.at_end(cat, pos) if not e.is_zero_width]
-            opts.sort(key=lambda e: (-e.start, canonical_text(e.args)))
-        return opts
-
-    def seat_item(item, args, pos: int, s, budget: int, depth: int):
-        """Yield (child, next_pos, subst, budget) for a body item whose
-        renamed arguments are args.  child is an Edge or a _TrialEdge;
-        next_pos advances along the build direction."""
-        if isinstance(item, Terminal):
-            words = (chart.at_start(D_CATEGORY, pos) if direction == RIGHTWARD
-                     else chart.at_end(D_CATEGORY, pos))
-            for e in words:
-                if e.args[0] == Const(item.token):
-                    yield e, (e.end if direction == RIGHTWARD else e.start), s, budget
-            return
-        for e in real_options(item.category, pos):
-            s2 = unify_all(args, e.args, s)
-            if s2 is not None:
-                yield e, (e.end if direction == RIGHTWARD else e.start), s2, budget
+    def options(cat: str, pos: int, budget: int, depth: int):
+        """Yield (child, budget left) for a body nonterminal: existing
+        edges, shortest span first with ties broken by content (never by
+        edge id), then constituents built from the rules, then a gap."""
+        real = [e for e in touching(cat, pos) if not e.is_zero_width]
+        real.sort(key=lambda e: (e.end - e.start, canonical_text(e.args)))
+        for e in real:
+            yield e, budget
         if depth < PREDICT_DEPTH_CAP:
-            for te, budget2 in build(item.category, pos, budget, depth + 1):
-                s2 = unify_all(args, te.args, s)
-                if s2 is not None:
-                    yield te, (te.end if direction == RIGHTWARD else te.start), s2, budget2
-        te = gap_edge(item.category, pos, budget)
-        if te is not None:
-            s2 = unify_all(args, te.args, s)
-            if s2 is not None:
-                yield te, pos, s2, budget - 1
+            yield from build(cat, pos, budget, depth + 1)
+        g = gap(cat, pos) if budget > 0 else None
+        if g is not None:
+            yield g, budget - 1
 
     def build(cat: str, pos: int, budget: int, depth: int):
-        """Yield (_TrialEdge, budget) for constituents of cat built from
-        the rules, touching pos on the anchored side, width >= 1."""
+        """Yield (_Trial, budget left) for constituents of cat built from
+        the rules, touching pos, width >= 1."""
         for rule in grammar.rules_for(cat):
             head_args, body_args = _renamed(rule)
-            order = list(range(len(rule.body)))
-            if direction == LEFTWARD:
-                order.reverse()
+            items = list(zip(rule.body, body_args))[::step]
 
-            def seat_all(k: int, pos_k: int, s, budget_k: int, chosen: dict):
-                if k == len(order):
-                    yield s, budget_k, dict(chosen)
+            def seat(k: int, pos_k: int, s, budget_k: int, kids: tuple):
+                if k == len(items):
+                    yield s, budget_k, kids
                     return
-                idx = order[k]
-                for child, nxt, s2, b2 in seat_item(
-                        rule.body[idx], body_args[idx], pos_k, s, budget_k, depth):
-                    chosen[idx] = child
-                    yield from seat_all(k + 1, nxt, s2, b2, chosen)
-                    del chosen[idx]
+                item, args = items[k]
+                if isinstance(item, Terminal):
+                    for e in touching(D_CATEGORY, pos_k):
+                        if e.args[0] == Const(item.token):
+                            yield from seat(k + 1, far(e), s, budget_k, kids + (e,))
+                    return
+                for child, budget2 in options(item.category, pos_k, budget_k, depth):
+                    s2 = unify_all(args, child.args, s)
+                    if s2 is not None:
+                        yield from seat(k + 1, far(child), s2, budget2,
+                                        kids + (child,))
 
-            for s, budget_left, chosen in seat_all(0, pos, EMPTY_SUBST, budget, {}):
-                kids = [chosen[i] for i in range(len(rule.body))]
-                span_start = min(c.start for c in kids)
-                span_end = max(c.end for c in kids)
-                if span_start == span_end:
+            for s, budget_left, kids in seat(0, pos, EMPTY_SUBST, budget, ()):
+                start = min(c.start for c in kids)
+                end = max(c.end for c in kids)
+                if start == end:
                     continue  # an all-gap constituent reconstructs nothing
-                te = _TrialEdge(
-                    len(trial), cat,
-                    tuple(apply(s, t) for t in head_args),
-                    span_start, span_end,
-                    rule_id=rule.id,
-                    children=tuple(c.id if isinstance(c, Edge) else ("t", c.ref)
-                                   for c in kids))
-                trial.append(te)
-                yield te, budget_left
+                yield _Trial(cat, tuple(apply(s, t) for t in head_args),
+                             start, end, rule.id, kids), budget_left
+
+    def commit(node) -> Edge:
+        """Add a winning tree to the chart, post-order; returns its root."""
+        if isinstance(node, Edge):
+            return node
+        prov = node.origin
+        if not isinstance(prov, Gap):
+            kids = [commit(c).id for c in node.children]
+            prov = Predicted(prov, tuple(kids[::step]))
+        return chart.add(node.category, node.args, node.start, node.end, prov)[0]
 
     for root, _budget in build(category, anchor, gap_budget, 0):
-        return _commit(chart, trial, root)
+        return commit(root)
     return None
-
-
-def _commit(chart: Chart, trial: list, root: _TrialEdge) -> Edge:
-    """Add the root's derivation to the chart, remapping trial refs to
-    real (deduplicated) edge ids.  Unreachable trial edges from failed
-    branches are dropped."""
-    reachable = set()
-
-    def mark(te: _TrialEdge):
-        if te.ref in reachable:
-            return
-        reachable.add(te.ref)
-        for c in te.children:
-            if isinstance(c, tuple):
-                mark(trial[c[1]])
-
-    mark(root)
-    real: dict = {}
-    root_edge = None
-    for te in trial:
-        if te.ref not in reachable:
-            continue
-        children = tuple(real[c[1]] if isinstance(c, tuple) else c
-                         for c in te.children)
-        prov = Predicted(gap=te.gap, rule_id=te.rule_id,
-                         children=children, source=te.source)
-        e, _added = chart.add(te.category, te.args, te.start, te.end, prov)
-        real[te.ref] = e.id
-        if te.ref == root.ref:
-            root_edge = e
-    return root_edge
 
 
 def format_derivation(chart: Chart, root: Edge) -> str:

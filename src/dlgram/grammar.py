@@ -366,6 +366,13 @@ def validate(g: Grammar) -> list:
             "error",
             f"conjunction category {g.conj_category} must carry exactly one "
             f"argument, the connective constant"))
+    for r in g.rules:
+        if (r.head.category == g.conj_category and len(r.head.args) == 1
+                and not isinstance(r.head.args[0], Const)):
+            diags.append(Diagnostic(
+                "error",
+                f"conjunction {_item_text(r.head)} must name a constant "
+                f"connective", r.line))
 
     for r in g.rules:
         if (len(r.body) == 1 and isinstance(r.body[0], NonTerminal)

@@ -50,16 +50,30 @@ def test_check_ok(english_path, capsys):
 
 def test_check_bad_grammar(tmp_path, capsys):
     p = tmp_path / "bad.dlg"
-    p.write_text("np --> det, adj.\ndet --> [the].\n")
-    rc = main(["check", "-g", str(p)])
-    out = capsys.readouterr().out
-    assert rc == 2
-    assert "undefined category adj" in out
+    for source, message in [
+            ("np --> det, adj.\ndet --> [the].\n", "undefined category adj"),
+            ("s --> np.\nnp --> [a].\nconj(X) --> [and].\n",
+             "conjunction conj(X) must name a constant connective"),
+            ("s --> np.\nnp --> [a].\nconj(f(X)) --> [and].\n",
+             "conjunction conj(f(X)) must name a constant connective")]:
+        p.write_text(source)
+        rc = main(["check", "-g", str(p)])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert message in out
+        assert main(["parse", "-g", str(p), "-s", "a and a"]) == 2
+        assert message in capsys.readouterr().err
 
 
-def test_missing_grammar_file(capsys):
-    assert main(["parse", "-g", "/nonexistent.dlg", "-s", "x"]) == 2
-    assert main(["check", "-g", "/nonexistent.dlg"]) == 2
+def test_missing_grammar_file(english_path, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("r\u00e9sum\u00e9 --> [caf\u00e9].\n".encode("latin-1"))
+    # missing, a directory, not UTF-8
+    for path in ("/nonexistent.dlg", str(tmp_path), str(latin1)):
+        assert main(["parse", "-g", path, "-s", "x"]) == 2
+        assert main(["check", "-g", path]) == 2
+        assert main(["parse", "-g", english_path, "-f", path]) == 2
+        assert capsys.readouterr().err == f"error: cannot read {path}\n" * 3
 
 
 def test_failed_parse_exit_code(english_path, capsys):
@@ -202,13 +216,33 @@ def test_byte_identical_across_processes(english_path):
     assert a.stdout  # nonempty
 
 
-def test_woods_trace_json_golden(english_path):
-    # the trace lines and the chart dump, every provenance kind in both
-    # renderings, byte for byte
-    out = _run_cli("parse", "-g", english_path, "--trace", "--json",
-                   "-s", "john drove the car through and demolished a window")
+# tests/golden/<name>_cli.txt: stdout of parse --trace --json
+GOLDEN_RUNS = [
+    # every provenance kind in both renderings
+    ("woods", "english_sem",
+     ["-s", "john drove the car through and demolished a window"]),
+    # a leftward prediction that commits a nested four-edge tree
+    ("rnr", "english_sem",
+     ["-s", "john drove a car through and mary demolished a window"]),
+    # two gaps in one predicted np
+    ("french_gap2", "french_syn",
+     ["-s", "jean mange une pomme rouge et une", "--gap-budget", "2"]),
+    # a leftward prediction whose committed siblings are both new edges,
+    # so their commit order shows
+    ("np_coord_gap2", "english_sem",
+     ["-s", "each man and each woman ate an apple", "--gap-budget", "2",
+      "--all-coord"]),
+]
+
+
+@pytest.mark.parametrize("name,grammar,argv", GOLDEN_RUNS,
+                         ids=[run[0] for run in GOLDEN_RUNS])
+def test_trace_json_golden(name, grammar, argv):
+    # the trace lines and the chart dump, byte for byte
+    path = resources.files("dlgram") / "grammars" / f"{grammar}.dlg"
+    out = _run_cli("parse", "-g", str(path), "--trace", "--json", *argv)
     assert out.returncode == 0
-    assert out.stdout == (GOLDEN / "woods_cli.txt").read_bytes()
+    assert out.stdout == (GOLDEN / f"{name}_cli.txt").read_bytes()
 
 
 def _console_script_target(name):

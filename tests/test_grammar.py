@@ -80,6 +80,16 @@ def test_conj_category_needs_one_argument():
                if d.severity == "error")
 
 
+def test_conj_argument_must_be_constant():
+    for conj in ("conj(X)", "conj(f(X))"):
+        g = parse_grammar(f"s --> [a].\n{conj} --> [and].", strict=False)
+        assert [d.message for d in validate(g) if d.severity == "error"] == [
+            f"conjunction {conj} must name a constant connective"]
+        with pytest.raises(GrammarError, match="constant connective"):
+            parse_grammar(f"s --> [a].\n{conj} --> [and].")
+    assert validate(parse_grammar("s --> [a].\nconj(and) --> [and].")) == []
+
+
 def test_scope_position_out_of_range():
     src = "@scope np 5.\nnp(X) --> [it]."
     g = parse_grammar(src, strict=False)
