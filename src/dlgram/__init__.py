@@ -11,7 +11,7 @@ logical forms.
 """
 
 from .api import ParseRun, parse
-from .coordination import Candidate, CoordConstraint, CoordinationState
+from .coordination import CoordConstraint, CoordinationState
 from .engine import (Chart, Edge, LayerCapError, ParseResult, assert_input,
                      close, derivation_edges, extract, format_derivation,
                      match_rule, predict, tokenize)
@@ -26,7 +26,7 @@ from .terms import (Compound, Const, Substitution, Term, Var, abstract_over,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Candidate", "Chart", "Compound", "Const", "CoordConstraint",
+    "Chart", "Compound", "Const", "CoordConstraint",
     "CoordinationState", "Diagnostic", "Edge", "Grammar", "GrammarError",
     "GrammarSyntaxError", "LayerCapError", "NonTerminal", "ParseResult",
     "ParseRun", "RewriteLimitError", "RewriteRule", "Rule", "Substitution",

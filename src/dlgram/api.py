@@ -32,25 +32,20 @@ def parse(grammar: Grammar, sentence: Union[str, Sequence[str]], *,
     """
     tokens = tokenize(sentence) if isinstance(sentence, str) else list(sentence)
     chart = assert_input(tokens, trace=trace)
-    coord = None
-    hook = None
-    if meta_coordination:
-        coord = CoordinationState(
-            grammar, first_solution=not all_solutions,
-            gap_budget=gap_budget, trace=trace)
-        hook = coord.after_layer
+    coord = CoordinationState(
+        grammar, first_solution=not all_solutions,
+        gap_budget=gap_budget, trace=trace)
+    # without the hook no constraint is posted: revival and finalize are no-ops
+    hook = coord.after_layer if meta_coordination else None
     close(chart, grammar, hook, layer_cap)
-    if coord is not None and coord.constraints and not full_parses(chart, grammar):
+    if coord.constraints and not full_parses(chart, grammar):
         coord.revive()
         close(chart, grammar, hook, layer_cap)
-    if coord is not None:
-        coord.finalize()
-    log = coord.log if coord is not None else []
-    results = extract(chart, grammar, constraint_log=log)
+    coord.finalize()
     return ParseRun(
         tokens=tokens,
         chart=chart,
-        results=results,
-        constraints=coord.constraints if coord is not None else [],
-        log=log,
+        results=extract(chart, grammar),
+        constraints=coord.constraints,
+        log=coord.log,
     )

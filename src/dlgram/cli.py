@@ -68,7 +68,9 @@ def _load(path: str, strict: bool):
     except (OSError, UnicodeDecodeError):
         print(f"error: cannot read {path}", file=sys.stderr)
     except GrammarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # validation errors as check prints them; syntax errors have none
+        lines = [str(d) for d in exc.diagnostics] or [f"error: {exc}"]
+        print("\n".join(lines), file=sys.stderr)
     return None
 
 

@@ -23,21 +23,16 @@ RIGHT_COMPLETE = "right"
 
 
 @dataclass
-class Candidate:
-    side: str  # LEFT_COMPLETE: complete conjunct ends at N; RIGHT_COMPLETE: starts at M
-    category: str
-    edge_id: int
-    tried: bool = False
-
-
-@dataclass
 class CoordConstraint:
     id: int
     conj_edge_id: int
     n: int  # conjunction start
     m: int  # conjunction end
     connective: str
+    # (side, Edge) pairs; side LEFT_COMPLETE: the complete conjunct ends
+    # at N, RIGHT_COMPLETE: it starts at M
     agenda: list = field(default_factory=list)
+    tried: set = field(default_factory=set)  # (side, edge id) pairs
     status: str = "suspended"  # suspended | resolved | exhausted
     resolutions: list = field(default_factory=list)  # (source, target, combined) ids
 
@@ -62,14 +57,13 @@ def post(chart: Chart, grammar: Grammar, state: "CoordinationState") -> list:
 
 
 def refresh_agenda(c: CoordConstraint, chart: Chart) -> CoordConstraint:
-    """Rebuild the candidate agenda from the chart, keeping tried flags.
+    """Rebuild the candidate agenda from the chart.
 
     Left-complete candidates (ending at N) come first, shortest span
     first, then right-complete ones (starting at M), again shortest span
     first.  Word facts, conjunction edges, and zero-width edges are
     never candidates.
     """
-    tried = {(cand.side, cand.edge_id) for cand in c.agenda if cand.tried}
     conj_category = chart.edges[c.conj_edge_id].category
 
     def usable(e: Edge) -> bool:
@@ -83,11 +77,8 @@ def refresh_agenda(c: CoordConstraint, chart: Chart) -> CoordConstraint:
     # are the chart's dedup keys, so the order is total.
     left.sort(key=lambda e: (-e.start, e.category, canonical_text(e.args)))
     right.sort(key=lambda e: (e.end, e.category, canonical_text(e.args)))
-    agenda = [Candidate(LEFT_COMPLETE, e.category, e.id,
-                        (LEFT_COMPLETE, e.id) in tried) for e in left]
-    agenda += [Candidate(RIGHT_COMPLETE, e.category, e.id,
-                         (RIGHT_COMPLETE, e.id) in tried) for e in right]
-    c.agenda = agenda
+    c.agenda = ([(LEFT_COMPLETE, e) for e in left]
+                + [(RIGHT_COMPLETE, e) for e in right])
     return c
 
 
@@ -122,24 +113,23 @@ def attempt(c: CoordConstraint, chart: Chart, grammar: Grammar,
     every resolution is recorded.
     """
     found = None
-    for cand in c.agenda:
-        if cand.tried:
+    for side, source in c.agenda:
+        if (side, source.id) in c.tried:
             continue
-        cand.tried = True
-        source = chart.edges[cand.edge_id]
+        c.tried.add((side, source.id))
         # step orders (source, predicted) left to right
-        if cand.side == LEFT_COMPLETE:
+        if side == LEFT_COMPLETE:
             anchor, direction, step = c.m, RIGHTWARD, 1
         else:
             anchor, direction, step = c.n, LEFTWARD, -1
-        predicted = predict(grammar, chart, cand.category, anchor,
+        predicted = predict(grammar, chart, source.category, anchor,
                             direction, source, state.gap_budget)
         if predicted is None:
             state.log_line(
-                f"C{c.id}: try {cand.side} {_spanned(source)} -> fail")
+                f"C{c.id}: try {side} {_spanned(source)} -> fail")
             continue
         state.log_line(
-            f"C{c.id}: try {cand.side} {_spanned(source)} "
+            f"C{c.id}: try {side} {_spanned(source)} "
             f"-> predicted {_spanned(predicted)}")
         left, right = (source, predicted)[::step]
         combined = combine(left, right, c.connective, grammar, chart,
@@ -151,8 +141,7 @@ def attempt(c: CoordConstraint, chart: Chart, grammar: Grammar,
             f"-> {_spanned(combined)}")
         found = combined
         if state.first_solution:
-            state.log_line(f"C{c.id}: resolved")
-            return combined
+            break
     if found is not None:
         state.log_line(f"C{c.id}: resolved")
     return found
@@ -202,11 +191,7 @@ class CoordinationState:
         self._revival_pending = True
         for c in self.constraints:
             resolved_sources = {src for (src, _tgt, _comb) in c.resolutions}
-            for cand in c.agenda:
-                if cand.edge_id not in resolved_sources:
-                    cand.tried = False
-            if c.status == "exhausted":
-                c.status = "suspended"
+            c.tried = {k for k in c.tried if k[1] in resolved_sources}
 
     def finalize(self):
         """Mark constraints that never resolved as exhausted."""

@@ -231,23 +231,20 @@ class Derivation:
     children: tuple
 
 
-def _item_candidates(item, chart: Chart, pos: int, id_limit: int) -> list:
+def _item_candidates(item, chart: Chart, pos: int) -> list:
     """Chart edges that can seat `item` starting at pos.  Zero-width gap
     edges never participate in ordinary rule matching."""
     if isinstance(item, Terminal):
         return [e for e in chart.at_start(D_CATEGORY, pos)
-                if e.id < id_limit and e.args[0] == Const(item.token)]
+                if e.args[0] == Const(item.token)]
     return [e for e in chart.at_start(item.category, pos)
-            if e.id < id_limit and not e.is_zero_width]
+            if not e.is_zero_width]
 
 
-def match_rule(rule: Rule, delta: Optional[set], chart: Chart,
-               id_limit: Optional[int] = None) -> list:
+def match_rule(rule: Rule, delta: Optional[set], chart: Chart) -> list:
     """All contiguous seatings of the rule body on chart edges that use
     at least one delta edge (delta=None lifts the restriction), with the
     rule's argument unifications threaded through."""
-    if id_limit is None:
-        id_limit = len(chart.edges)
     out = []
 
     def extend(idx: int, pos: int, chosen: list):
@@ -258,16 +255,13 @@ def match_rule(rule: Rule, delta: Optional[set], chart: Chart,
             if inst is not None:
                 out.append(inst)
             return
-        for e in _item_candidates(rule.body[idx], chart, pos, id_limit):
+        for e in _item_candidates(rule.body[idx], chart, pos):
             chosen.append(e)
             extend(idx + 1, e.end, chosen)
             chosen.pop()
 
-    first = rule.body[0]
     for start in range(chart.n + 1):
-        for e in _item_candidates(first, chart, start, id_limit):
-            extend(1, e.end, [e])
-
+        extend(0, start, [])
     return out
 
 
@@ -313,31 +307,30 @@ def close(chart: Chart, grammar: Grammar,
           layer_cap: int = 64) -> Chart:
     """Run layered closure to fixpoint.
 
-    The first round joins over everything already in the chart (so
-    closing an already-closed chart is sound and adds nothing); later
-    rounds are restricted to the previous layer's delta.  After each
-    layer the hook may inject further edges into that layer.
+    Every round joins the rules over the chart as it stands, keeping the
+    seatings that use an edge of the newest layer, and only then opens a
+    layer and adds the round's derivations, in rule order.  On a fresh
+    chart the newest layer is the input; on a closed chart it has been
+    joined already, so closing again adds nothing.  After each layer the
+    hook may inject further edges into that layer.
     """
-    delta = {e.id for e in chart.edges}
     while True:
         if chart.current_layer >= layer_cap:
             raise LayerCapError(
                 f"closure exceeded the layer cap ({layer_cap}); "
                 f"the grammar is probably growing without bound")
-        id_limit = len(chart.edges)
+        delta = set(chart.layers[-1])
+        found = [(rule, d) for rule in grammar.rules
+                 for d in match_rule(rule, delta, chart)]
         chart.begin_layer()
-        for rule in grammar.rules:
-            for d in match_rule(rule, delta, chart, id_limit):
-                prov = (Lexical(rule.id) if rule.is_lexical
-                        else Derived(d.rule_id, d.children))
-                chart.add(d.category, d.args, d.start, d.end, prov)
+        for rule, d in found:
+            prov = (Lexical(rule.id) if rule.is_lexical
+                    else Derived(d.rule_id, d.children))
+            chart.add(d.category, d.args, d.start, d.end, prov)
         if hook is not None:
             hook(chart)
-        new = chart.layers[-1]
-        if not new:
-            chart.drop_layer_if_empty()
+        if chart.drop_layer_if_empty():
             return chart
-        delta = set(new)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +501,6 @@ def format_derivation(chart: Chart, root: Edge) -> str:
 class ParseResult:
     root: Edge
     logical_form: Term
-    layer_count: int
-    constraint_log: tuple = ()
 
 
 def logical_form_of(edge: Edge) -> Term:
@@ -526,10 +517,7 @@ def full_parses(chart: Chart, grammar: Grammar) -> list:
             if e.end == chart.n and not e.is_zero_width]
 
 
-def extract(chart: Chart, grammar: Grammar, constraint_log=()) -> list:
+def extract(chart: Chart, grammar: Grammar) -> list:
     """One ParseResult per start-category edge spanning the whole input."""
-    return [ParseResult(root=e,
-                        logical_form=logical_form_of(e),
-                        layer_count=len(chart.layers),
-                        constraint_log=tuple(constraint_log))
+    return [ParseResult(root=e, logical_form=logical_form_of(e))
             for e in full_parses(chart, grammar)]

@@ -330,18 +330,17 @@ def validate(g: Grammar) -> list:
     diags = []
     heads = {r.head.category for r in g.rules}
 
-    arity_seen: dict = {}
+    # arities at first use, in rule order (parse_grammar builds the table)
+    arities = g.category_arities
     for r in g.rules:
-        uses = [(r.head.category, len(r.head.args), r.line)]
-        uses += [(it.category, len(it.args), r.line)
+        uses = [(r.head.category, len(r.head.args))]
+        uses += [(it.category, len(it.args))
                  for it in r.body if isinstance(it, NonTerminal)]
-        for cat, ar, line in uses:
-            if cat in arity_seen and arity_seen[cat][0] != ar:
+        for cat, ar in uses:
+            if arities[cat] != ar:
                 diags.append(Diagnostic(
-                    "error", f"arity conflict {cat}: used at {arity_seen[cat][0]} and {ar}",
-                    line))
-            else:
-                arity_seen.setdefault(cat, (ar, line))
+                    "error", f"arity conflict {cat}: used at {arities[cat]} and {ar}",
+                    r.line))
 
     for r in g.rules:
         for it in r.body:
@@ -354,14 +353,14 @@ def validate(g: Grammar) -> list:
         diags.append(Diagnostic("error", f"start category {g.start} has no rules"))
 
     for cat, pos in g.scope_args.items():
-        if cat not in arity_seen:
+        if cat not in arities:
             diags.append(Diagnostic("error", f"scope directive for unknown category {cat}"))
-        elif not 1 <= pos <= arity_seen[cat][0]:
+        elif not 1 <= pos <= arities[cat]:
             diags.append(Diagnostic(
                 "error",
-                f"scope position {pos} out of range for {cat}/{arity_seen[cat][0]}"))
+                f"scope position {pos} out of range for {cat}/{arities[cat]}"))
 
-    if g.conj_category in arity_seen and arity_seen[g.conj_category][0] != 1:
+    if g.conj_category in arities and arities[g.conj_category] != 1:
         diags.append(Diagnostic(
             "error",
             f"conjunction category {g.conj_category} must carry exactly one "

@@ -87,10 +87,6 @@ class Substitution:
             t = nxt
         return t
 
-    def normalized(self) -> "Substitution":
-        """Equivalent substitution whose bindings are fully resolved."""
-        return Substitution({vid: apply(self, t) for vid, t in self._bindings.items()})
-
     def __len__(self):
         return len(self._bindings)
 

@@ -50,19 +50,34 @@ def test_check_ok(english_path, capsys):
 
 def test_check_bad_grammar(tmp_path, capsys):
     p = tmp_path / "bad.dlg"
-    for source, message in [
-            ("np --> det, adj.\ndet --> [the].\n", "undefined category adj"),
+    for source, lines in [
+            ("np --> det, adj.\ndet --> [the].\n",
+             ["error: undefined category adj (line 1)"]),
             ("s --> np.\nnp --> [a].\nconj(X) --> [and].\n",
-             "conjunction conj(X) must name a constant connective"),
+             ["error: conjunction conj(X) must name a constant connective "
+              "(line 3)"]),
             ("s --> np.\nnp --> [a].\nconj(f(X)) --> [and].\n",
-             "conjunction conj(f(X)) must name a constant connective")]:
+             ["error: conjunction conj(f(X)) must name a constant connective "
+              "(line 3)"]),
+            ("s --> np.\nnp --> [a].\nconj(X) --> [and].\nnp --> zz.\n",
+             ["error: undefined category zz (line 4)",
+              "error: conjunction conj(X) must name a constant connective "
+              "(line 3)"])]:
         p.write_text(source)
         rc = main(["check", "-g", str(p)])
         out = capsys.readouterr().out
         assert rc == 2
-        assert message in out
+        assert out.splitlines() == lines
+        # parse prints the same lines, each once, on stderr
         assert main(["parse", "-g", str(p), "-s", "a and a"]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == "".join(ln + "\n" for ln in lines)
+    # syntax errors and an empty grammar keep their single prefix
+    for source, err in [
+            ("s --> np\n", "error: expected DOT, found '' at line 2, column 1"),
+            ("% nothing\n", "error: a grammar needs at least one rule")]:
+        p.write_text(source)
+        assert main(["parse", "-g", str(p), "-s", "a"]) == 2
+        assert capsys.readouterr().err == err + "\n"
 
 
 def test_missing_grammar_file(english_path, tmp_path, capsys):
@@ -232,14 +247,23 @@ GOLDEN_RUNS = [
     ("np_coord_gap2", "english_sem",
      ["-s", "each man and each woman ate an apple", "--gap-budget", "2",
       "--all-coord"]),
+    # no parse after the first pass: the revival round predicts pp(8,11)
+    # with gaps, combines pp(4,11) and closure goes on to sent(0,11)
+    ("revival", "perfbench/pp_gap.dlg",
+     ["-s", "jean voit une table avec une femme et avec sur une",
+      "--gap-budget", "2"]),
 ]
 
 
 @pytest.mark.parametrize("name,grammar,argv", GOLDEN_RUNS,
                          ids=[run[0] for run in GOLDEN_RUNS])
 def test_trace_json_golden(name, grammar, argv):
-    # the trace lines and the chart dump, byte for byte
-    path = resources.files("dlgram") / "grammars" / f"{grammar}.dlg"
+    # the trace lines and the chart dump, byte for byte; a grammar is a
+    # shipped one by name, or a .dlg file by its path in the repository
+    if grammar.endswith(".dlg"):
+        path = Path(__file__).parent.parent / grammar
+    else:
+        path = resources.files("dlgram") / "grammars" / f"{grammar}.dlg"
     out = _run_cli("parse", "-g", str(path), "--trace", "--json", *argv)
     assert out.returncode == 0
     assert out.stdout == (GOLDEN / f"{name}_cli.txt").read_bytes()
@@ -272,3 +296,10 @@ def test_console_entry_point_matches_module(english_path):
                                 capture_output=True, timeout=120)
     assert via_module.returncode == via_script.returncode == 0
     assert via_module.stdout == via_script.stdout == b"laugh(john)\n"
+
+
+def test_package_exports_resolve():
+    # every public name the package declares is importable from it
+    import dlgram
+    missing = [name for name in dlgram.__all__ if not hasattr(dlgram, name)]
+    assert missing == []

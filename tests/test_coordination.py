@@ -1,7 +1,7 @@
 import re
 
 from dlgram import parse
-from dlgram.coordination import (CoordinationState, combine, post,
+from dlgram.coordination import (CoordinationState, attempt, combine, post,
                                  refresh_agenda)
 from dlgram.engine import Coordinated, assert_input, close, tokenize
 from dlgram.terms import canonical_text, is_variant, parse_term
@@ -54,7 +54,7 @@ def test_agenda_french_after_lexicon(french):
     chart.begin_layer()
     (c,) = post(chart, french, state)
     refresh_agenda(c, chart)
-    described = [(cand.side, cand.category) for cand in c.agenda]
+    described = [(side, e.category) for side, e in c.agenda]
     # adjective left of the conjunction, then the determiner to its right;
     # word facts and the conjunction itself never become candidates
     assert described[0] == ("left", "adj")
@@ -66,29 +66,33 @@ def test_agenda_french_after_lexicon(french):
 def test_agenda_ordering_law_woods(english):
     run = parse(english, WOODS_SENT)
     c = run.constraints[0]
-    left = [cand for cand in c.agenda if cand.side == "left"]
-    right = [cand for cand in c.agenda if cand.side == "right"]
-    zs = [run.chart.edges[cand.edge_id].start for cand in left]
-    ps = [run.chart.edges[cand.edge_id].end for cand in right]
+    left = [e for side, e in c.agenda if side == "left"]
+    right = [e for side, e in c.agenda if side == "right"]
+    zs = [e.start for e in left]
+    ps = [e.end for e in right]
     assert zs == sorted(zs, reverse=True)
     assert ps == sorted(ps)
-    cats_right = [cand.category for cand in right]
+    cats_right = [e.category for e in right]
     assert cats_right == ["verb1", "vp"]
-    cats_left = [cand.category for cand in left]
+    cats_left = [e.category for e in left]
     assert cats_left == ["prep"]
 
 
-def test_agenda_keeps_tried_flags(french):
+def test_attempt_skips_tried_candidates(french):
     chart = close(assert_input(tokenize(FRENCH_SENT)), french)
     state = CoordinationState(french)
     chart.begin_layer()
     (c,) = post(chart, french, state)
     refresh_agenda(c, chart)
-    c.agenda[0].tried = True
-    key = (c.agenda[0].side, c.agenda[0].edge_id)
+    side, first = c.agenda[0]
+    c.tried.add((side, first.id))
     refresh_agenda(c, chart)
-    flags = {(cand.side, cand.edge_id): cand.tried for cand in c.agenda}
-    assert flags[key] is True
+    assert c.agenda[0] == (side, first)
+    attempt(c, chart, french, state)
+    tries = [ln for ln in state.log if ": try" in ln]
+    assert tries
+    assert not any(f"try {side} {first.category}({first.start},{first.end})"
+                   in ln for ln in tries)
     chart.drop_layer_if_empty()
 
 
