@@ -403,6 +403,18 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     are committed to the chart in post-order, children in build order,
     which is the order in which the search created them.  Predicted
     roots must cover at least one token.
+
+    Subgoals are tabled within the call.  The chart, source and direction
+    do not change during the search, so what build(cat, pos, budget,
+    depth) yields depends on those four values alone: once a build has
+    run to exhaustion its answers, (_Trial, budget left) pairs, are kept
+    and a later identical subgoal replays them in the same order (an
+    empty list records a failure).  Depth stays in the key, so
+    PREDICT_DEPTH_CAP bounds left recursion as it would without the
+    table.  A subgoal occurs at most once in a winning tree, so replayed
+    trials never share variables within it; alternatives that reuse one
+    trial each unify it under their own persistent substitution.  The
+    correspondent of each gap category is looked up once per call too.
     """
     # touching(cat, pos): chart edges on the anchored side of pos; far(e):
     # where the next item in build order starts; step: build order
@@ -413,8 +425,13 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     else:
         raise ValueError(f"unknown direction {direction!r}")
 
+    answers: dict = {}  # (cat, pos, budget, depth) -> [(_Trial, budget left)]
+    correspondents: dict = {}  # cat -> Edge or None
+
     def gap(cat: str, pos: int) -> Optional[_Trial]:
-        corr = _find_correspondent(chart, source, cat)
+        if cat not in correspondents:
+            correspondents[cat] = _find_correspondent(chart, source, cat)
+        corr = correspondents[cat]
         if corr is None:
             return None
         scope_pos = grammar.scope_args.get(cat)
@@ -433,7 +450,16 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
         for e in real:
             yield e, budget
         if depth < PREDICT_DEPTH_CAP:
-            yield from build(cat, pos, budget, depth + 1)
+            key = (cat, pos, budget, depth + 1)
+            done = answers.get(key)
+            if done is not None:
+                yield from done
+            else:
+                found = []
+                for answer in build(cat, pos, budget, depth + 1):
+                    found.append(answer)
+                    yield answer
+                answers[key] = found  # only once build is exhausted
         g = gap(cat, pos) if budget > 0 else None
         if g is not None:
             yield g, budget - 1
@@ -479,9 +505,14 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
             prov = Predicted(prov, tuple(kids[::step]))
         return chart.add(node.category, node.args, node.start, node.end, prov)[0]
 
-    for root, _budget in build(category, anchor, gap_budget, 0):
-        return commit(root)
-    return None
+    try:
+        for root, _budget in build(category, anchor, gap_budget, 0):
+            return commit(root)
+        return None
+    finally:
+        # build and options refer to each other, so this frame's closures
+        # outlive the call until the cycle collector runs; the table must not
+        answers.clear()
 
 
 def format_derivation(chart: Chart, root: Edge) -> str:

@@ -87,9 +87,17 @@ class Grammar:
     quantifiers: tuple = ()
     connectives: tuple = DEFAULT_CONNECTIVES
     category_arities: dict = field(default_factory=dict)
+    # head category -> its rules, in grammar order
+    _by_head: dict = field(init=False, repr=False, compare=False)
 
-    def rules_for(self, category: str) -> list:
-        return [r for r in self.rules if r.head.category == category]
+    def __post_init__(self):
+        by_head: dict = {}
+        for r in self.rules:
+            by_head.setdefault(r.head.category, []).append(r)
+        self._by_head = {cat: tuple(rs) for cat, rs in by_head.items()}
+
+    def rules_for(self, category: str) -> tuple:
+        return self._by_head.get(category, ())
 
     def arity(self, category: str) -> int:
         return self.category_arities.get(category, 0)

@@ -5,19 +5,25 @@ delta restriction) with brute-force seating enumeration; it shares only
 the term primitives and the coordination hook with the engine, not the
 semi-naive join it is checking.
 
+untabled_predict is engine.predict as it was before its subgoals were
+tabled: every subgoal is searched afresh each time it comes up.
+
 ground-instance helpers decide unifiability of jointly-generated term
 pairs by enumerating all instantiations over a two-constant universe.
 """
 
 import itertools
 import random
+from operator import attrgetter
 from pathlib import Path
 
 from dlgram.coordination import CoordinationState
-from dlgram.engine import D_CATEGORY, Derived, Lexical, assert_input
+from dlgram.engine import (D_CATEGORY, LEFTWARD, PREDICT_DEPTH_CAP,
+                           RIGHTWARD, Derived, Edge, Gap, Lexical, Predicted,
+                           _find_correspondent, _renamed, _Trial, assert_input)
 from dlgram.grammar import NonTerminal, Terminal
-from dlgram.terms import (EMPTY_SUBST, Compound, Const, Var, apply,
-                          canonical_text, fresh_var, rename_fresh_all,
+from dlgram.terms import (EMPTY_SUBST, Compound, Const, Var, abstract_over,
+                          apply, canonical_text, fresh_var, rename_fresh_all,
                           unify_all)
 
 ORACLE_DIR = Path(__file__).parent / "oracles"
@@ -132,6 +138,88 @@ def naive_parse(grammar, tokens, meta_coordination=True):
     if coord is not None:
         coord.finalize()
     return chart
+
+
+# ---------------------------------------------------------------------------
+# Untabled prediction: the search engine.predict tables, done the slow way.
+
+def untabled_predict(grammar, chart, category, anchor, direction, source,
+                     gap_budget=1):
+    """engine.predict without its answer table or correspondent cache,
+    with the same signature and the same search order.  It scans the
+    rules for each head category instead of reading Grammar's index."""
+    if direction == RIGHTWARD:
+        touching, far, step = chart.at_start, attrgetter("end"), 1
+    elif direction == LEFTWARD:
+        touching, far, step = chart.at_end, attrgetter("start"), -1
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+
+    def gap(cat, pos):
+        corr = _find_correspondent(chart, source, cat)
+        if corr is None:
+            return None
+        scope_pos = grammar.scope_args.get(cat)
+        if scope_pos is not None and corr.args:
+            gap_args, _ = abstract_over(corr.args, scope_pos)
+        else:
+            gap_args = tuple(fresh_var("_") for _ in range(grammar.arity(cat)))
+        return _Trial(cat, gap_args, pos, pos, Gap(corr.id))
+
+    def options(cat, pos, budget, depth):
+        real = [e for e in touching(cat, pos) if not e.is_zero_width]
+        real.sort(key=lambda e: (e.end - e.start, canonical_text(e.args)))
+        for e in real:
+            yield e, budget
+        if depth < PREDICT_DEPTH_CAP:
+            yield from build(cat, pos, budget, depth + 1)
+        g = gap(cat, pos) if budget > 0 else None
+        if g is not None:
+            yield g, budget - 1
+
+    def build(cat, pos, budget, depth):
+        for rule in [r for r in grammar.rules if r.head.category == cat]:
+            head_args, body_args = _renamed(rule)
+            items = list(zip(rule.body, body_args))[::step]
+
+            def seat(k, pos_k, s, budget_k, kids):
+                if k == len(items):
+                    yield s, budget_k, kids
+                    return
+                item, args = items[k]
+                if isinstance(item, Terminal):
+                    for e in touching(D_CATEGORY, pos_k):
+                        if e.args[0] == Const(item.token):
+                            yield from seat(k + 1, far(e), s, budget_k,
+                                            kids + (e,))
+                    return
+                for child, budget2 in options(item.category, pos_k, budget_k,
+                                              depth):
+                    s2 = unify_all(args, child.args, s)
+                    if s2 is not None:
+                        yield from seat(k + 1, far(child), s2, budget2,
+                                        kids + (child,))
+
+            for s, budget_left, kids in seat(0, pos, EMPTY_SUBST, budget, ()):
+                start = min(c.start for c in kids)
+                end = max(c.end for c in kids)
+                if start == end:
+                    continue
+                yield _Trial(cat, tuple(apply(s, t) for t in head_args),
+                             start, end, rule.id, kids), budget_left
+
+    def commit(node):
+        if isinstance(node, Edge):
+            return node
+        prov = node.origin
+        if not isinstance(prov, Gap):
+            kids = [commit(c).id for c in node.children]
+            prov = Predicted(prov, tuple(kids[::step]))
+        return chart.add(node.category, node.args, node.start, node.end, prov)[0]
+
+    for root, _budget in build(category, anchor, gap_budget, 0):
+        return commit(root)
+    return None
 
 
 # ---------------------------------------------------------------------------

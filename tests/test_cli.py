@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -6,8 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from dlgram.cli import main
+import dlgram.coordination
+from dlgram import load_grammar, parse
+from dlgram.cli import emit_json, main
+from oracle_impls import untabled_predict
 
+ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 
 WOODS_FORM = ("exists(V0,window(V0),and(def(V1,car(V1),"
@@ -252,21 +257,79 @@ GOLDEN_RUNS = [
     ("revival", "perfbench/pp_gap.dlg",
      ["-s", "jean voit une table avec une femme et avec sur une",
       "--gap-budget", "2"]),
+    # budget 3 on the left-recursive PP grammar: seven predicted edges and
+    # three gaps in one committed tree
+    ("pp_gap3", "perfbench/pp_gap.dlg",
+     ["-s", "jean voit une femme sur une table avec une femme et avec sur une",
+      "--gap-budget", "3"]),
 ]
+
+
+def _grammar_path(grammar):
+    """A shipped grammar by name, or a .dlg file by its path in the
+    repository."""
+    if grammar.endswith(".dlg"):
+        return ROOT / grammar
+    return resources.files("dlgram") / "grammars" / f"{grammar}.dlg"
 
 
 @pytest.mark.parametrize("name,grammar,argv", GOLDEN_RUNS,
                          ids=[run[0] for run in GOLDEN_RUNS])
 def test_trace_json_golden(name, grammar, argv):
-    # the trace lines and the chart dump, byte for byte; a grammar is a
-    # shipped one by name, or a .dlg file by its path in the repository
-    if grammar.endswith(".dlg"):
-        path = Path(__file__).parent.parent / grammar
-    else:
-        path = resources.files("dlgram") / "grammars" / f"{grammar}.dlg"
-    out = _run_cli("parse", "-g", str(path), "--trace", "--json", *argv)
+    # the trace lines and the chart dump, byte for byte
+    out = _run_cli("parse", "-g", str(_grammar_path(grammar)),
+                   "--trace", "--json", *argv)
     assert out.returncode == 0
     assert out.stdout == (GOLDEN / f"{name}_cli.txt").read_bytes()
+
+
+def _parse_output(grammar, sentence, gap_budget, all_coord):
+    """(trace lines, constraint log, --json document) of one parse."""
+    lines = []
+    run = parse(grammar, sentence, all_solutions=all_coord,
+                gap_budget=gap_budget, trace=lines.append)
+    doc = json.dumps(emit_json(run.results, run.chart, run.constraints))
+    return lines, run.log, doc
+
+
+def _pp_gap_pool(seed):
+    """The benchmark's pp-gap pool, read from perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+        return [(item.text, item.gap_budget)
+                for item in workloads.pool("pp-gap", seed)]
+    finally:
+        del sys.modules[spec.name]
+
+
+def _untabled_cases():
+    """(grammar, sentence, gap budget, --all-coord) for the comparison."""
+    pp_gap = str(ROOT / "perfbench" / "pp_gap.dlg")
+    cases = [(pp_gap, text, budget, False)
+             for text, budget in _pp_gap_pool(1)]
+    for _name, grammar, argv in GOLDEN_RUNS:
+        sentence = argv[argv.index("-s") + 1]
+        for budget in range(4):
+            cases.append((str(_grammar_path(grammar)), sentence, budget,
+                          "--all-coord" in argv))
+    return cases
+
+
+def test_tabled_predict_matches_untabled(monkeypatch):
+    # the answer table changes how often predict searches a subgoal, not
+    # what it finds: trace, constraint log and chart dump stay the same
+    grammars = {}
+    for path, sentence, budget, all_coord in _untabled_cases():
+        grammar = grammars.setdefault(path, load_grammar(path))
+        tabled = _parse_output(grammar, sentence, budget, all_coord)
+        with monkeypatch.context() as m:
+            m.setattr(dlgram.coordination, "predict", untabled_predict)
+            untabled = _parse_output(grammar, sentence, budget, all_coord)
+        assert tabled == untabled, (sentence, budget, all_coord)
 
 
 def _console_script_target(name):

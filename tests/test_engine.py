@@ -1,15 +1,22 @@
+import gc
+from pathlib import Path
+
 import pytest
 
 from dlgram import parse
 from dlgram.engine import (D_CATEGORY, Derived, LEFTWARD, LayerCapError,
-                           Predicted, RIGHTWARD, assert_input, close,
-                           derivation_edges, match_rule, predict, tokenize)
-from dlgram.grammar import parse_grammar
+                           Predicted, RIGHTWARD, _Trial, assert_input, close,
+                           derivation_edges, format_derivation, match_rule,
+                           predict, tokenize)
+from dlgram.grammar import Grammar, load_grammar, parse_grammar
 from dlgram.terms import canonical_text, is_variant, parse_term
-from oracle_impls import edge_key_set, naive_parse
+from oracle_impls import edge_key_set, naive_parse, untabled_predict
 
 FRENCH_SENT = "jean mange une pomme rouge et une verte"
 WOODS_SENT = "john drove the car through and demolished a window"
+# the left-recursive PP grammar of the benchmark and its slowest sentence
+PP_GAP = Path(__file__).parent.parent / "perfbench" / "pp_gap.dlg"
+PP_GAP_SENT = "jean voit une femme sur une table avec une femme et avec sur une"
 
 
 def spans(edges):
@@ -237,6 +244,62 @@ def test_raised_gap_budget_allows_two_gaps(french):
     assert len(run.results) == 1
     gaps = [e for e in run.chart.edges if e.is_gap]
     assert {(e.category, e.start, e.end) for e in gaps} == {("n", 7, 7), ("adj", 7, 7)}
+
+
+@pytest.mark.parametrize("budget", [2, 3])
+def test_predict_tables_its_subgoals(budget, monkeypatch):
+    # each build call asks the grammar for the rules of one category;
+    # searched afresh every time, this sentence made 12,626 such calls at
+    # budget 2 and 18,853 at budget 3, tabled within each predict call
+    # a few hundred
+    grammar = load_grammar(PP_GAP)
+    calls = []
+    rules_for = Grammar.rules_for
+
+    def counted(self, category):
+        calls.append(category)
+        return rules_for(self, category)
+
+    monkeypatch.setattr(Grammar, "rules_for", counted)
+    run = parse(grammar, PP_GAP_SENT, gap_budget=budget)
+    assert len(run.results) == 1
+    assert len(calls) <= 1000
+
+
+def test_predict_table_keys_the_budget():
+    # x(4) fails first with no budget left (after the gap g in rule 0),
+    # then succeeds under rule 1 with the budget for a gap c
+    grammar = parse_grammar("s --> g, x.\ns --> x.\nx --> b, c.\n"
+                            "g --> [gg].\nb --> [bb].\nc --> [cc].\n"
+                            "conj(and) --> [and].\n")
+    found = []
+    for fn in (predict, untabled_predict):
+        chart = assert_input(tokenize("gg bb cc and bb"))
+        close(chart, grammar)
+        source = next(e for e in chart.edges
+                      if (e.category, e.start, e.end) == ("s", 0, 3))
+        e = fn(grammar, chart, "s", 4, RIGHTWARD, source, gap_budget=1)
+        found.append(format_derivation(chart, e))
+    assert found[0] == found[1]
+    assert found[0].splitlines()[-1].strip() == "c(5,5)  [gap from e8]"
+
+
+def test_predict_frees_its_table():
+    # build and options form a reference cycle, so without the cycle
+    # collector nothing predict tabled may outlive the call
+    grammar = load_grammar(PP_GAP)
+    chart = assert_input(tokenize(PP_GAP_SENT))
+    close(chart, grammar)
+    source = next(e for e in chart.edges
+                  if (e.category, e.start, e.end) == ("np", 8, 10))
+    gc.collect()
+    gc.disable()
+    try:
+        e = predict(grammar, chart, "np", 11, RIGHTWARD, source, gap_budget=3)
+        assert (e.category, e.start, e.end) == ("np", 11, 14)
+        assert not [o for o in gc.get_objects() if isinstance(o, _Trial)]
+    finally:
+        gc.enable()
 
 
 def test_args_match_grammar_arity(english, french):

@@ -138,6 +138,14 @@ def test_comments_ignored():
     assert len(g.rules) == 1
 
 
+def test_rules_for_keeps_grammar_order(english, french):
+    # prediction tries a category's rules in this order
+    for g in (english, french):
+        for cat in set(g.category_arities) | {"nothing"}:
+            assert list(g.rules_for(cat)) == [
+                r for r in g.rules if r.head.category == cat]
+
+
 def test_shipped_grammars_validate_clean(english, french):
     assert validate(english) == []
     assert validate(french) == []
