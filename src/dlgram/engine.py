@@ -231,37 +231,58 @@ class Derivation:
     children: tuple
 
 
-def _item_candidates(item, chart: Chart, pos: int) -> list:
-    """Chart edges that can seat `item` starting at pos.  Zero-width gap
-    edges never participate in ordinary rule matching."""
+def _indexed(item) -> str:
+    """The category under which the chart indexes the edges of a body
+    item: 'D' for a terminal, its own for a nonterminal."""
+    return D_CATEGORY if isinstance(item, Terminal) else item.category
+
+
+def _seats(item, e: Edge) -> bool:
+    """Whether e, an edge of the item's indexed category, can seat the
+    item.  Zero-width gap edges never participate in ordinary rule
+    matching."""
     if isinstance(item, Terminal):
-        return [e for e in chart.at_start(D_CATEGORY, pos)
-                if e.args[0] == Const(item.token)]
-    return [e for e in chart.at_start(item.category, pos)
-            if not e.is_zero_width]
+        return e.args[0] == Const(item.token)
+    return not e.is_zero_width
 
 
-def match_rule(rule: Rule, delta: Optional[set], chart: Chart) -> list:
+def match_rule(rule: Rule, delta: set, chart: Chart) -> list:
     """All contiguous seatings of the rule body on chart edges that use
-    at least one delta edge (delta=None lifts the restriction), with the
-    rule's argument unifications threaded through."""
+    at least one delta edge, with the rule's argument unifications
+    threaded through.
+
+    Each seating grows from its leftmost delta edge: every delta edge is
+    seated at each body position it fits, the items to its left are
+    filled leftward with edges outside delta (so no seating is found
+    twice) and the items to its right rightward with any edge.  The
+    seatings are instantiated in (start, child ids) order, the order of
+    a depth-first scan over every start position, since each positional
+    index lists its edges in id order.
+    """
+    body = rule.body
+    fresh = [chart.edges[i] for i in delta]
+    seatings = []
+    for j, item in enumerate(body):
+        category = _indexed(item)
+        for d in fresh:
+            if d.category != category or not _seats(item, d):
+                continue
+            partial = [[d]]
+            for left in reversed(body[:j]):
+                partial = [[e] + p for p in partial
+                           for e in chart.at_end(_indexed(left), p[0].start)
+                           if e.id not in delta and _seats(left, e)]
+            for right in body[j + 1:]:
+                partial = [p + [e] for p in partial
+                           for e in chart.at_start(_indexed(right), p[-1].end)
+                           if _seats(right, e)]
+            seatings.extend(partial)
+    seatings.sort(key=lambda chosen: (chosen[0].start, [e.id for e in chosen]))
     out = []
-
-    def extend(idx: int, pos: int, chosen: list):
-        if idx == len(rule.body):
-            if delta is not None and not any(e.id in delta for e in chosen):
-                return
-            inst = _instantiate(rule, chosen)
-            if inst is not None:
-                out.append(inst)
-            return
-        for e in _item_candidates(rule.body[idx], chart, pos):
-            chosen.append(e)
-            extend(idx + 1, e.end, chosen)
-            chosen.pop()
-
-    for start in range(chart.n + 1):
-        extend(0, start, [])
+    for chosen in seatings:
+        inst = _instantiate(rule, chosen)
+        if inst is not None:
+            out.append(inst)
     return out
 
 
@@ -296,8 +317,8 @@ def _instantiate(rule: Rule, chosen: Sequence[Edge]) -> Optional[Derivation]:
         rule_id=rule.id,
         category=rule.head.category,
         args=tuple(apply(s, t) for t in head_args),
-        start=chosen[0].start if chosen else 0,
-        end=chosen[-1].end if chosen else 0,
+        start=chosen[0].start,
+        end=chosen[-1].end,
         children=tuple(e.id for e in chosen),
     )
 
@@ -307,12 +328,12 @@ def close(chart: Chart, grammar: Grammar,
           layer_cap: int = 64) -> Chart:
     """Run layered closure to fixpoint.
 
-    Every round joins the rules over the chart as it stands, keeping the
-    seatings that use an edge of the newest layer, and only then opens a
-    layer and adds the round's derivations, in rule order.  On a fresh
-    chart the newest layer is the input; on a closed chart it has been
-    joined already, so closing again adds nothing.  After each layer the
-    hook may inject further edges into that layer.
+    Every round joins the rules over the chart as it stands, seeding each
+    seating from an edge of the newest layer (see match_rule), and only
+    then opens a layer and adds the round's derivations, in rule order.
+    On a fresh chart the newest layer is the input; on a closed chart it
+    has been joined already, so closing again adds nothing.  After each
+    layer the hook may inject further edges into that layer.
     """
     while True:
         if chart.current_layer >= layer_cap:
@@ -464,30 +485,34 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
         if g is not None:
             yield g, budget - 1
 
+    def seat(items: list, depth: int, k: int, pos_k: int, s, budget_k: int,
+             kids: tuple):
+        """Yield (substitution, budget left, children) for every seating
+        of items[k:], (body item, renamed args) pairs in build order."""
+        if k == len(items):
+            yield s, budget_k, kids
+            return
+        item, args = items[k]
+        if isinstance(item, Terminal):
+            for e in touching(D_CATEGORY, pos_k):
+                if e.args[0] == Const(item.token):
+                    yield from seat(items, depth, k + 1, far(e), s, budget_k,
+                                    kids + (e,))
+            return
+        for child, budget2 in options(item.category, pos_k, budget_k, depth):
+            s2 = unify_all(args, child.args, s)
+            if s2 is not None:
+                yield from seat(items, depth, k + 1, far(child), s2, budget2,
+                                kids + (child,))
+
     def build(cat: str, pos: int, budget: int, depth: int):
         """Yield (_Trial, budget left) for constituents of cat built from
         the rules, touching pos, width >= 1."""
         for rule in grammar.rules_for(cat):
             head_args, body_args = _renamed(rule)
             items = list(zip(rule.body, body_args))[::step]
-
-            def seat(k: int, pos_k: int, s, budget_k: int, kids: tuple):
-                if k == len(items):
-                    yield s, budget_k, kids
-                    return
-                item, args = items[k]
-                if isinstance(item, Terminal):
-                    for e in touching(D_CATEGORY, pos_k):
-                        if e.args[0] == Const(item.token):
-                            yield from seat(k + 1, far(e), s, budget_k, kids + (e,))
-                    return
-                for child, budget2 in options(item.category, pos_k, budget_k, depth):
-                    s2 = unify_all(args, child.args, s)
-                    if s2 is not None:
-                        yield from seat(k + 1, far(child), s2, budget2,
-                                        kids + (child,))
-
-            for s, budget_left, kids in seat(0, pos, EMPTY_SUBST, budget, ()):
+            for s, budget_left, kids in seat(items, depth, 0, pos, EMPTY_SUBST,
+                                             budget, ()):
                 start = min(c.start for c in kids)
                 end = max(c.end for c in kids)
                 if start == end:
@@ -510,9 +535,10 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
             return commit(root)
         return None
     finally:
-        # build and options refer to each other, so this frame's closures
-        # outlive the call until the cycle collector runs; the table must not
-        answers.clear()
+        # seat, build and options refer to each other and commit to itself;
+        # unlinked, they free the table and the chart on return instead of
+        # waiting for the cycle collector
+        seat = build = options = commit = None
 
 
 def format_derivation(chart: Chart, root: Edge) -> str:

@@ -1,19 +1,22 @@
 import gc
+import random
 from pathlib import Path
 
 import pytest
 
 from dlgram import parse
-from dlgram.engine import (D_CATEGORY, Derived, LEFTWARD, LayerCapError,
-                           Predicted, RIGHTWARD, _Trial, assert_input, close,
-                           derivation_edges, format_derivation, match_rule,
-                           predict, tokenize)
+from dlgram.engine import (D_CATEGORY, Chart, Derived, LEFTWARD,
+                           LayerCapError, Predicted, RIGHTWARD, _Trial,
+                           assert_input, close, derivation_edges,
+                           format_derivation, match_rule, predict, tokenize)
 from dlgram.grammar import Grammar, load_grammar, parse_grammar
 from dlgram.terms import canonical_text, is_variant, parse_term
-from oracle_impls import edge_key_set, naive_parse, untabled_predict
+from oracle_impls import (_brute_seatings, _instantiate, edge_key_set,
+                          naive_parse, untabled_predict)
 
 FRENCH_SENT = "jean mange une pomme rouge et une verte"
 WOODS_SENT = "john drove the car through and demolished a window"
+NP_CHAIN_SENT = "john saw a man and a man and a man and a man"
 # the left-recursive PP grammar of the benchmark and its slowest sentence
 PP_GAP = Path(__file__).parent.parent / "perfbench" / "pp_gap.dlg"
 PP_GAP_SENT = "jean voit une femme sur une table avec une femme et avec sur une"
@@ -160,11 +163,40 @@ def test_match_rule_semantics_threading(english):
     vp_rule = next(r for r in english.rules
                    if r.head.category == "vp" and len(r.body) == 2
                    and r.body[0].category == "verb1")
-    out = [d for d in match_rule(vp_rule, None, chart)
+    out = [d for d in match_rule(vp_rule, set(range(len(chart.edges))), chart)
            if (d.start, d.end) == (6, 9)]
     assert len(out) == 1
     expected = parse_term("exists(W,window(W),demolished(X,W))")
     assert is_variant(out[0].args[1], expected)
+
+
+@pytest.mark.parametrize("which, sentence", [
+    ("english", WOODS_SENT), ("french", FRENCH_SENT),
+    ("english", NP_CHAIN_SENT)])
+def test_match_rule_equals_brute_seatings(which, sentence, request):
+    # on a closed chart (gap and coordinated edges included), every
+    # seating that uses a delta edge, each once, in (start, child ids)
+    # order, with the same head arguments as the oracle's instantiation
+    grammar = request.getfixturevalue(which)
+    chart = parse(grammar, sentence).chart
+    ids = range(len(chart.edges))
+    rng = random.Random(6)
+    deltas = [set(ids), set(chart.layers[-1])]
+    deltas += [set(rng.sample(ids, rng.randint(1, len(ids) // 2)))
+               for _ in range(8)]
+    for rule in grammar.rules:
+        brute = []  # (start, end, children, head args)
+        for chosen in _brute_seatings(rule, chart, len(chart.edges)):
+            args = _instantiate(rule, chosen)
+            if args is not None:
+                brute.append((chosen[0].start, chosen[-1].end,
+                              tuple(e.id for e in chosen),
+                              canonical_text(args)))
+        for delta in deltas:
+            want = [b for b in brute if not delta.isdisjoint(b[2])]
+            got = [(d.start, d.end, d.children, canonical_text(d.args))
+                   for d in match_rule(rule, delta, chart)]
+            assert got == want, (rule.id, sorted(delta))
 
 
 # --- predict ---------------------------------------------------------------------
@@ -285,8 +317,7 @@ def test_predict_table_keys_the_budget():
 
 
 def test_predict_frees_its_table():
-    # build and options form a reference cycle, so without the cycle
-    # collector nothing predict tabled may outlive the call
+    # without the cycle collector nothing predict tabled may outlive the call
     grammar = load_grammar(PP_GAP)
     chart = assert_input(tokenize(PP_GAP_SENT))
     close(chart, grammar)
@@ -298,6 +329,28 @@ def test_predict_frees_its_table():
         e = predict(grammar, chart, "np", 11, RIGHTWARD, source, gap_budget=3)
         assert (e.category, e.start, e.end) == ("np", 11, 14)
         assert not [o for o in gc.get_objects() if isinstance(o, _Trial)]
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("sentence, budget, predicts", [
+    ("jean voit une femme", 1, False),
+    # no parse after the first pass: the revival round calls predict
+    ("jean voit une table avec une femme et avec sur une", 2, True)])
+def test_parse_frees_its_chart(sentence, budget, predicts):
+    # neither closure nor prediction leaves a reference cycle holding the
+    # chart, so it goes with the last reference to the run
+    grammar = load_grammar(PP_GAP)
+    gc.collect()
+    gc.disable()
+    try:
+        before = sum(isinstance(o, Chart) for o in gc.get_objects())
+        run = parse(grammar, sentence, gap_budget=budget)
+        assert run.results
+        assert predicts == any(isinstance(e.provenance, Predicted)
+                               for e in run.chart.edges)
+        del run
+        assert sum(isinstance(o, Chart) for o in gc.get_objects()) == before
     finally:
         gc.enable()
 
