@@ -11,12 +11,13 @@ constraint suspends until new layers supply fresh candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .engine import (Chart, Coordinated, D_CATEGORY, Edge, LEFTWARD,
                      RIGHTWARD, predict)
 from .grammar import Grammar
-from .terms import EMPTY_SUBST, apply, c_unify, canonical_text
+from .terms import EMPTY_SUBST, apply, c_unify
 
 LEFT_COMPLETE = "left"
 RIGHT_COMPLETE = "right"
@@ -75,8 +76,8 @@ def refresh_agenda(c: CoordConstraint, chart: Chart) -> CoordConstraint:
     # span-length ordering; ties broken by content so that evaluation
     # order does not depend on edge ids.  With one end fixed, the keys
     # are the chart's dedup keys, so the order is total.
-    left.sort(key=lambda e: (-e.start, e.category, canonical_text(e.args)))
-    right.sort(key=lambda e: (e.end, e.category, canonical_text(e.args)))
+    left.sort(key=lambda e: (-e.start, e.category, e.args_text))
+    right.sort(key=lambda e: (e.end, e.category, e.args_text))
     c.agenda = ([(LEFT_COMPLETE, e) for e in left]
                 + [(RIGHT_COMPLETE, e) for e in right])
     return c
@@ -117,11 +118,10 @@ def attempt(c: CoordConstraint, chart: Chart, grammar: Grammar,
         if (side, source.id) in c.tried:
             continue
         c.tried.add((side, source.id))
-        # step orders (source, predicted) left to right
         if side == LEFT_COMPLETE:
-            anchor, direction, step = c.m, RIGHTWARD, 1
+            anchor, direction = c.m, RIGHTWARD
         else:
-            anchor, direction, step = c.n, LEFTWARD, -1
+            anchor, direction = c.n, LEFTWARD
         predicted = predict(grammar, chart, source.category, anchor,
                             direction, source, state.gap_budget)
         if predicted is None:
@@ -131,7 +131,8 @@ def attempt(c: CoordConstraint, chart: Chart, grammar: Grammar,
         state.log_line(
             f"C{c.id}: try {side} {_spanned(source)} "
             f"-> predicted {_spanned(predicted)}")
-        left, right = (source, predicted)[::step]
+        # the conjunction lies between the two conjuncts
+        left, right = sorted((source, predicted), key=attrgetter("start"))
         combined = combine(left, right, c.connective, grammar, chart,
                            c.id, source.id, predicted.id)
         c.resolutions.append((source.id, predicted.id, combined.id))

@@ -108,6 +108,7 @@ class Edge:
     id: int
     category: str
     args: tuple
+    args_text: str  # canonical_text(args), the chart's variant key
     start: int
     end: int
     layer: int
@@ -122,8 +123,7 @@ class Edge:
         return isinstance(self.provenance, Gap)
 
     def __repr__(self):
-        inner = canonical_text(self.args)
-        inner = inner + "," if inner else ""
+        inner = self.args_text + "," if self.args_text else ""
         return f"{self.category}({inner}{self.start},{self.end})"
 
 
@@ -163,11 +163,12 @@ class Chart:
         if not (0 <= start <= end <= self.n):
             raise ValueError(f"edge span {start}..{end} outside input 0..{self.n}")
         args = tuple(args)
-        key = (category, start, end, canonical_text(args))
+        text = canonical_text(args)
+        key = (category, start, end, text)
         existing = self._dedup.get(key)
         if existing is not None:
             return self.edges[existing], False
-        e = Edge(len(self.edges), category, args, start, end,
+        e = Edge(len(self.edges), category, args, text, start, end,
                  self.current_layer, provenance)
         self.edges.append(e)
         self._dedup[key] = e.id
@@ -221,14 +222,16 @@ def assert_input(tokens: Sequence[str],
 
 
 @dataclass(frozen=True)
-class Derivation:
-    """A rule instantiation match_rule found: the edge it would create."""
-    rule_id: int
+class _Trial:
+    """A constituent built but not yet added to the chart: a seating
+    match_rule instantiated, or a node of predict's search.  close and
+    predict's commit turn it into an edge and its provenance."""
     category: str
     args: tuple
     start: int
     end: int
-    children: tuple
+    origin: object  # the rule id, or the Gap provenance of a gap
+    children: tuple = ()  # Edge or _Trial, in build order
 
 
 def _indexed(item) -> str:
@@ -247,9 +250,9 @@ def _seats(item, e: Edge) -> bool:
 
 
 def match_rule(rule: Rule, delta: set, chart: Chart) -> list:
-    """All contiguous seatings of the rule body on chart edges that use
-    at least one delta edge, with the rule's argument unifications
-    threaded through.
+    """A _Trial for every contiguous seating of the rule body on chart
+    edges that uses at least one delta edge and under which the rule's
+    argument unifications, threaded through, succeed.
 
     Each seating grows from its leftmost delta edge: every delta edge is
     seated at each body position it fits, the items to its left are
@@ -303,7 +306,7 @@ def _renamed(rule: Rule) -> tuple:
     return head_args, body_args
 
 
-def _instantiate(rule: Rule, chosen: Sequence[Edge]) -> Optional[Derivation]:
+def _instantiate(rule: Rule, chosen: Sequence[Edge]) -> Optional[_Trial]:
     """Rename the rule apart and unify body items with the chosen edges."""
     head_args, body_args = _renamed(rule)
     s = EMPTY_SUBST
@@ -313,14 +316,8 @@ def _instantiate(rule: Rule, chosen: Sequence[Edge]) -> Optional[Derivation]:
         s = unify_all(args, edge.args, s)
         if s is None:
             return None
-    return Derivation(
-        rule_id=rule.id,
-        category=rule.head.category,
-        args=tuple(apply(s, t) for t in head_args),
-        start=chosen[0].start,
-        end=chosen[-1].end,
-        children=tuple(e.id for e in chosen),
-    )
+    return _Trial(rule.head.category, tuple(apply(s, t) for t in head_args),
+                  chosen[0].start, chosen[-1].end, rule.id, tuple(chosen))
 
 
 def close(chart: Chart, grammar: Grammar,
@@ -341,13 +338,13 @@ def close(chart: Chart, grammar: Grammar,
                 f"closure exceeded the layer cap ({layer_cap}); "
                 f"the grammar is probably growing without bound")
         delta = set(chart.layers[-1])
-        found = [(rule, d) for rule in grammar.rules
-                 for d in match_rule(rule, delta, chart)]
+        found = [(rule, t) for rule in grammar.rules
+                 for t in match_rule(rule, delta, chart)]
         chart.begin_layer()
-        for rule, d in found:
-            prov = (Lexical(rule.id) if rule.is_lexical
-                    else Derived(d.rule_id, d.children))
-            chart.add(d.category, d.args, d.start, d.end, prov)
+        for rule, t in found:
+            prov = (Lexical(t.origin) if rule.is_lexical
+                    else Derived(t.origin, tuple(e.id for e in t.children)))
+            chart.add(t.category, t.args, t.start, t.end, prov)
         if hook is not None:
             hook(chart)
         if chart.drop_layer_if_empty():
@@ -356,17 +353,6 @@ def close(chart: Chart, grammar: Grammar,
 
 # ---------------------------------------------------------------------------
 # Top-down prediction
-
-@dataclass(frozen=True)
-class _Trial:
-    """A constituent predict has built but not committed to the chart."""
-    category: str
-    args: tuple
-    start: int
-    end: int
-    origin: object  # the rule id, or the Gap provenance of a gap
-    children: tuple = ()  # Edge or _Trial, in build order
-
 
 def derivation_edges(chart: Chart, root: Edge) -> list:
     """(edge, depth) pairs for the whole derivation under root,
@@ -402,7 +388,7 @@ def _find_correspondent(chart: Chart, source: Edge, category: str) -> Optional[E
     for e, depth in derivation_edges(chart, source):
         if e.category != category or e.is_zero_width:
             continue
-        key = (depth, e.start, canonical_text(e.args))
+        key = (depth, e.start, e.args_text)
         if best_key is None or key > best_key:
             best = e
             best_key = key
@@ -467,7 +453,7 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
         edges, shortest span first with ties broken by content (never by
         edge id), then constituents built from the rules, then a gap."""
         real = [e for e in touching(cat, pos) if not e.is_zero_width]
-        real.sort(key=lambda e: (e.end - e.start, canonical_text(e.args)))
+        real.sort(key=lambda e: (e.end - e.start, e.args_text))
         for e in real:
             yield e, budget
         if depth < PREDICT_DEPTH_CAP:

@@ -16,10 +16,13 @@ optional phase on final logical forms; it never runs mid-parse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .grammar import Grammar
 from .terms import Compound, Const, Term, Var, fresh_var
+
+# rewrite steps one reshape may take before it gives up on a fixpoint
+REWRITE_STEP_CAP = 1000
 
 
 class RewriteLimitError(RuntimeError):
@@ -31,7 +34,6 @@ class RewriteRule:
     name: str
     pattern: Term
     template: Term
-    guard: Optional[Callable[[dict], bool]] = None
 
 
 def _match(pattern: Term, subject: Term, bindings: dict) -> Optional[dict]:
@@ -111,7 +113,7 @@ def _normalize(t: Term, rules: Sequence[RewriteRule], counter: _StepCounter) -> 
                          tuple(_normalize(a, rules, counter) for a in t.args))
         for rule in rules:
             b = _match(rule.pattern, t, {})
-            if b is not None and (rule.guard is None or rule.guard(b)):
+            if b is not None:
                 counter.tick()
                 t = _fill(rule.template, b)
                 break
@@ -119,8 +121,8 @@ def _normalize(t: Term, rules: Sequence[RewriteRule], counter: _StepCounter) -> 
             return t
 
 
-def reshape(t: Term, grammar: Grammar, enabled: Iterable[str] = ("distrib",),
-            extra_rules: Sequence[RewriteRule] = (), step_cap: int = 1000) -> Term:
+def reshape(t: Term, grammar: Grammar,
+            enabled: Iterable[str] = ("distrib",)) -> Term:
     """Apply the enabled rewrite rules innermost-first to fixpoint."""
     enabled = set(enabled)
     rules: list = []
@@ -128,7 +130,6 @@ def reshape(t: Term, grammar: Grammar, enabled: Iterable[str] = ("distrib",),
         rules.extend(distribution_rules(grammar))
     if "too" in enabled:
         rules.append(too_rule())
-    rules.extend(extra_rules)
     if not rules:
         return t
-    return _normalize(t, rules, _StepCounter(step_cap))
+    return _normalize(t, rules, _StepCounter(REWRITE_STEP_CAP))

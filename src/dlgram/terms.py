@@ -220,15 +220,16 @@ def abstract_over(args: Sequence[Term], scope_index: int) -> tuple:
         raise IndexError(f"scope index {scope_index} out of range for arity {len(args)}")
     scope_value = args[scope_index - 1]
     v = fresh_var("Scope")
+    return tuple(_replace(a, scope_value, v) for a in args), v
 
-    def repl(t: Term) -> Term:
-        if t == scope_value:
-            return v
-        if isinstance(t, Compound):
-            return Compound(t.functor, tuple(repl(a) for a in t.args))
-        return t
 
-    return tuple(repl(a) for a in args), v
+def _replace(t: Term, old: Term, new: Term) -> Term:
+    """t with every whole-subterm occurrence of old replaced by new."""
+    if t == old:
+        return new
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_replace(a, old, new) for a in t.args))
+    return t
 
 
 def c_unify(t1: Term, t2: Term, conn: str,

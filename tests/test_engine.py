@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 from pathlib import Path
@@ -20,6 +21,8 @@ NP_CHAIN_SENT = "john saw a man and a man and a man and a man"
 # the left-recursive PP grammar of the benchmark and its slowest sentence
 PP_GAP = Path(__file__).parent.parent / "perfbench" / "pp_gap.dlg"
 PP_GAP_SENT = "jean voit une femme sur une table avec une femme et avec sur une"
+# no parse after the first pass at gap budget 2: the revival round predicts
+REVIVAL_SENT = "jean voit une table avec une femme et avec sur une"
 
 
 def spans(edges):
@@ -151,7 +154,7 @@ def test_match_rule_delta_restriction(french):
                    if r.head.category == "np" and len(r.body) == 3)
     adj45 = next(e for e in chart.edges if (e.category, e.start, e.end) == ("adj", 4, 5))
     out = match_rule(np_rule, {adj45.id}, chart)
-    assert [(d.category, d.start, d.end) for d in out] == [("np", 2, 5)]
+    assert [(t.category, t.start, t.end) for t in out] == [("np", 2, 5)]
 
     conj = next(e for e in chart.edges if e.category == "conj")
     assert match_rule(np_rule, {conj.id}, chart) == []
@@ -163,8 +166,8 @@ def test_match_rule_semantics_threading(english):
     vp_rule = next(r for r in english.rules
                    if r.head.category == "vp" and len(r.body) == 2
                    and r.body[0].category == "verb1")
-    out = [d for d in match_rule(vp_rule, set(range(len(chart.edges))), chart)
-           if (d.start, d.end) == (6, 9)]
+    out = [t for t in match_rule(vp_rule, set(range(len(chart.edges))), chart)
+           if (t.start, t.end) == (6, 9)]
     assert len(out) == 1
     expected = parse_term("exists(W,window(W),demolished(X,W))")
     assert is_variant(out[0].args[1], expected)
@@ -194,8 +197,9 @@ def test_match_rule_equals_brute_seatings(which, sentence, request):
                               canonical_text(args)))
         for delta in deltas:
             want = [b for b in brute if not delta.isdisjoint(b[2])]
-            got = [(d.start, d.end, d.children, canonical_text(d.args))
-                   for d in match_rule(rule, delta, chart)]
+            got = [(t.start, t.end, tuple(e.id for e in t.children),
+                    canonical_text(t.args))
+                   for t in match_rule(rule, delta, chart)]
             assert got == want, (rule.id, sorted(delta))
 
 
@@ -336,7 +340,7 @@ def test_predict_frees_its_table():
 @pytest.mark.parametrize("sentence, budget, predicts", [
     ("jean voit une femme", 1, False),
     # no parse after the first pass: the revival round calls predict
-    ("jean voit une table avec une femme et avec sur une", 2, True)])
+    (REVIVAL_SENT, 2, True)])
 def test_parse_frees_its_chart(sentence, budget, predicts):
     # neither closure nor prediction leaves a reference cycle holding the
     # chart, so it goes with the last reference to the run
@@ -353,6 +357,75 @@ def test_parse_frees_its_chart(sentence, budget, predicts):
         assert sum(isinstance(o, Chart) for o in gc.get_objects()) == before
     finally:
         gc.enable()
+
+
+def test_parse_leaves_no_cycles(english):
+    # nothing a parse builds, the term layer's helpers included, needs
+    # the cycle collector to go
+    gc.collect()
+    gc.disable()
+    try:
+        run = parse(english, WOODS_SENT)
+        assert run.results
+        del run
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_one_canonical_text_per_chart_add(english, monkeypatch):
+    # the chart renders an edge's arguments once, for its variant key;
+    # the trace, prediction and the agendas read that text off the edge
+    import dlgram.coordination
+    import dlgram.engine
+
+    calls = {"canonical_text": 0, "add": 0}
+    canonical, add = dlgram.engine.canonical_text, Chart.add
+
+    def counted_canonical(args):
+        calls["canonical_text"] += 1
+        return canonical(args)
+
+    def counted_add(self, *args):
+        calls["add"] += 1
+        return add(self, *args)
+
+    monkeypatch.setattr(dlgram.engine, "canonical_text", counted_canonical)
+    monkeypatch.setattr(Chart, "add", counted_add)
+    pp_gap = load_grammar(PP_GAP)
+    for grammar, sentence, budget in [(english, WOODS_SENT, 1),
+                                      (pp_gap, REVIVAL_SENT, 2),
+                                      (pp_gap, PP_GAP_SENT, 3)]:
+        calls.update(canonical_text=0, add=0)
+        lines = []
+        run = parse(grammar, sentence, gap_budget=budget, trace=lines.append)
+        assert run.results and lines
+        assert calls["canonical_text"] == calls["add"] > 0, sentence
+    assert not hasattr(dlgram.coordination, "canonical_text")
+
+
+@pytest.mark.parametrize("which, sentences", [
+    ("english", [WOODS_SENT,
+                 "john drove a car through and mary demolished a window",
+                 "each man and each woman ate an apple"]),
+    ("french", [FRENCH_SENT, "jean mange une pomme rouge et une"]),
+    ("pp_gap", [REVIVAL_SENT, PP_GAP_SENT])])
+def test_chart_does_not_depend_on_rule_order(which, sentences, request):
+    # without coordination the chart is the fixpoint of the rules, the
+    # same set of edges whatever order the rules are tried in
+    grammar = (load_grammar(PP_GAP) if which == "pp_gap"
+               else request.getfixturevalue(which))
+    rng = random.Random(7)
+    for sentence in sentences:
+        want = edge_key_set(parse(grammar, sentence,
+                                  meta_coordination=False).chart)
+        for _ in range(4):
+            rules = list(grammar.rules)
+            rng.shuffle(rules)
+            shuffled = dataclasses.replace(grammar, rules=tuple(rules))
+            got = edge_key_set(parse(shuffled, sentence,
+                                     meta_coordination=False).chart)
+            assert got == want, (sentence, [r.id for r in rules])
 
 
 def test_args_match_grammar_arity(english, french):
