@@ -17,11 +17,11 @@ from .engine import (Chart, Edge, LayerCapError, ParseResult, assert_input,
                      match_rule, predict, tokenize)
 from .grammar import (Diagnostic, Grammar, GrammarError, GrammarSyntaxError,
                       NonTerminal, Rule, Terminal, builtin_grammar,
-                      grammar_text, load_grammar, parse_grammar, validate)
+                      grammar_text, load_grammar, parse_grammar, parse_term,
+                      validate)
 from .reshape import RewriteLimitError, RewriteRule, reshape
-from .terms import (Compound, Const, Substitution, Term, Var, abstract_over,
-                    apply, c_unify, canonical_text, fresh_var, is_variant,
-                    parse_term, rename_fresh, unify)
+from .terms import (Compound, Const, Term, Var, abstract_over, apply, c_unify,
+                    canonical_text, fresh_var, is_variant, rename_fresh, unify)
 
 __version__ = "0.1.0"
 
@@ -29,8 +29,8 @@ __all__ = [
     "Chart", "Compound", "Const", "CoordConstraint",
     "CoordinationState", "Diagnostic", "Edge", "Grammar", "GrammarError",
     "GrammarSyntaxError", "LayerCapError", "NonTerminal", "ParseResult",
-    "ParseRun", "RewriteLimitError", "RewriteRule", "Rule", "Substitution",
-    "Term", "Terminal", "Var", "abstract_over", "apply", "assert_input",
+    "ParseRun", "RewriteLimitError", "RewriteRule", "Rule", "Term",
+    "Terminal", "Var", "abstract_over", "apply", "assert_input",
     "builtin_grammar", "c_unify", "canonical_text", "close",
     "derivation_edges", "extract", "format_derivation", "fresh_var",
     "grammar_text", "is_variant", "load_grammar", "match_rule", "parse",

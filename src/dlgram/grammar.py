@@ -211,17 +211,26 @@ class _Parser:
         return Const(t.text)
 
     def parse_nonterminal(self, varmap: dict) -> NonTerminal:
-        t = self.expect("IDENT")
-        args = ()
-        if self.peek().kind == "LPAREN":
-            self.next()
-            lst = [self.parse_term(varmap)]
-            while self.peek().kind == "COMMA":
-                self.next()
-                lst.append(self.parse_term(varmap))
-            self.expect("RPAREN")
-            args = tuple(lst)
-        return NonTerminal(t.text, args)
+        """A category with optional arguments, read as a non-variable term."""
+        if self.peek().kind != "IDENT":
+            self.expect("IDENT")  # raises "expected IDENT, found ..."
+        t = self.parse_term(varmap)
+        if isinstance(t, Compound):
+            return NonTerminal(t.functor, t.args)
+        return NonTerminal(t.name)
+
+
+def parse_term(text: str, varmap: Optional[dict] = None) -> Term:
+    """Read one term in grammar-file syntax.
+
+    Occurrences of the same variable name share one Var within a call
+    (or across calls when a varmap is supplied); a bare "_" is fresh at
+    every occurrence.  Raises GrammarSyntaxError.
+    """
+    p = _Parser(text)
+    t = p.parse_term({} if varmap is None else varmap)
+    p.expect("EOF")
+    return t
 
 
 def parse_grammar(source: str, strict: bool = True) -> Grammar:

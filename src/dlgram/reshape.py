@@ -107,18 +107,31 @@ class _StepCounter:
 
 
 def _normalize(t: Term, rules: Sequence[RewriteRule], counter: _StepCounter) -> Term:
-    while True:
+    """Rewrite innermost-first to fixpoint: the arguments left to right,
+    then the root, and a rewritten term afresh.  The work list is explicit,
+    so a rule that nests its left side stops at the step cap, not at
+    Python's recursion limit."""
+    todo: list = [t]  # terms; (functor, arity) below a compound's args
+    done: list = []  # normal forms
+    while todo:
+        t = todo.pop()
         if isinstance(t, Compound):
-            t = Compound(t.functor,
-                         tuple(_normalize(a, rules, counter) for a in t.args))
+            todo.append((t.functor, len(t.args)))
+            todo.extend(reversed(t.args))
+            continue
+        if isinstance(t, tuple):  # the arguments are normal: rebuild
+            functor, arity = t
+            t = Compound(functor, tuple(done[-arity:]))
+            del done[-arity:]
         for rule in rules:
             b = _match(rule.pattern, t, {})
             if b is not None:
                 counter.tick()
-                t = _fill(rule.template, b)
+                todo.append(_fill(rule.template, b))
                 break
         else:
-            return t
+            done.append(t)
+    return done[0]
 
 
 def reshape(t: Term, grammar: Grammar,

@@ -1,9 +1,11 @@
 """First-order terms and the symbolic operations everything else is built on.
 
 Terms are immutable trees of variables, constants, and compounds.
-Substitutions are persistent values: extending one returns a new
-substitution, so abandoning a failed search branch is just dropping the
-value, never undoing mutations.
+A substitution is a plain dict from variable id to term that is never
+mutated: unify returns a new dict, so abandoning a failed search branch
+is just dropping the value, never undoing mutations.  Bindings may
+mention other bound variables; apply resolves them to fixpoint, and the
+occurs check in unify rules out cycles.
 """
 
 from __future__ import annotations
@@ -60,57 +62,29 @@ def fresh_var(name: str = "_") -> Var:
     return Var(next(_fresh_ids), name)
 
 
-class Substitution:
-    """Immutable triangular mapping from variable id to term.
-
-    Bindings may mention other bound variables; `apply` resolves them to
-    fixpoint.  The occurs check in `unify` guarantees there are no cycles,
-    which makes that fixpoint well defined.
-    """
-
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: Optional[dict] = None):
-        self._bindings = bindings if bindings is not None else {}
-
-    def bind(self, var: Var, term: Term) -> "Substitution":
-        new = dict(self._bindings)
-        new[var.id] = term
-        return Substitution(new)
-
-    def walk(self, t: Term) -> Term:
-        """Chase variable bindings at the top level only."""
-        while isinstance(t, Var):
-            nxt = self._bindings.get(t.id)
-            if nxt is None:
-                return t
-            t = nxt
-        return t
-
-    def __len__(self):
-        return len(self._bindings)
-
-    def __contains__(self, var):
-        return var.id in self._bindings if isinstance(var, Var) else var in self._bindings
-
-    def __repr__(self):
-        inner = ", ".join(f"_{k}->{v!r}" for k, v in self._bindings.items())
-        return "{" + inner + "}"
+def walk(s: dict, t: Term) -> Term:
+    """Chase variable bindings at the top level only."""
+    while isinstance(t, Var):
+        nxt = s.get(t.id)
+        if nxt is None:
+            return t
+        t = nxt
+    return t
 
 
-EMPTY_SUBST = Substitution()
+EMPTY_SUBST: dict = {}
 
 
-def apply(s: Substitution, t: Term) -> Term:
+def apply(s: dict, t: Term) -> Term:
     """Replace every bound variable in t, recursively, to fixpoint."""
-    t = s.walk(t)
+    t = walk(s, t)
     if isinstance(t, Compound):
         return Compound(t.functor, tuple(apply(s, a) for a in t.args))
     return t
 
 
-def _occurs(vid: int, t: Term, s: Substitution) -> bool:
-    t = s.walk(t)
+def _occurs(vid: int, t: Term, s: dict) -> bool:
+    t = walk(s, t)
     if isinstance(t, Var):
         return t.id == vid
     if isinstance(t, Compound):
@@ -118,20 +92,20 @@ def _occurs(vid: int, t: Term, s: Substitution) -> bool:
     return False
 
 
-def unify(t1: Term, t2: Term, s: Substitution = EMPTY_SUBST) -> Optional[Substitution]:
+def unify(t1: Term, t2: Term, s: dict = EMPTY_SUBST) -> Optional[dict]:
     """Most general unifier of t1 and t2 under s, or None.
 
     Failure is a value; the input substitution is never mutated.  The
     occurs check is always on.
     """
-    t1 = s.walk(t1)
-    t2 = s.walk(t2)
+    t1 = walk(s, t1)
+    t2 = walk(s, t2)
     if isinstance(t1, Var):
         if isinstance(t2, Var) and t1.id == t2.id:
             return s
         if _occurs(t1.id, t2, s):
             return None
-        return s.bind(t1, t2)
+        return {**s, t1.id: t2}
     if isinstance(t2, Var):
         return unify(t2, t1, s)
     if isinstance(t1, Const) or isinstance(t2, Const):
@@ -146,7 +120,7 @@ def unify(t1: Term, t2: Term, s: Substitution = EMPTY_SUBST) -> Optional[Substit
 
 
 def unify_all(ts1: Sequence[Term], ts2: Sequence[Term],
-              s: Substitution = EMPTY_SUBST) -> Optional[Substitution]:
+              s: dict = EMPTY_SUBST) -> Optional[dict]:
     """Unify two equal-length term vectors pairwise."""
     if len(ts1) != len(ts2):
         return None
@@ -233,7 +207,7 @@ def _replace(t: Term, old: Term, new: Term) -> Term:
 
 
 def c_unify(t1: Term, t2: Term, conn: str,
-            s: Substitution = EMPTY_SUBST) -> tuple:
+            s: dict = EMPTY_SUBST) -> tuple:
     """Combine two parallel terms: unify what unifies, conjoin what clashes.
 
     If s(t1) and s(t2) unify the result is the unified term under the
@@ -244,8 +218,8 @@ def c_unify(t1: Term, t2: Term, conn: str,
     u = unify(t1, t2, s)
     if u is not None:
         return apply(u, t1), u
-    a = s.walk(t1)
-    b = s.walk(t2)
+    a = walk(s, t1)
+    b = walk(s, t2)
     if (isinstance(a, Compound) and isinstance(b, Compound)
             and a.functor == b.functor and len(a.args) == len(b.args)):
         parts = []
@@ -290,72 +264,6 @@ def canonical_texts(terms: Sequence[Term]) -> list:
 def to_text(t: Term) -> str:
     """Render a term using the variables' display names (for grammar
     round-trips, where names are unique within a rule)."""
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
+    if isinstance(t, (Var, Const)):
         return t.name
     return f"{t.functor}({','.join(to_text(a) for a in t.args)})"
-
-
-class TermSyntaxError(ValueError):
-    pass
-
-
-def parse_term(text: str, varmap: Optional[dict] = None) -> Term:
-    """Parse canonical term syntax.
-
-    Occurrences of the same variable name share one Var within a call
-    (or across calls when a varmap is supplied); a bare "_" is fresh at
-    every occurrence.
-    """
-    if varmap is None:
-        varmap = {}
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def ident():
-        nonlocal pos
-        start = pos
-        while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-            pos += 1
-        if start == pos:
-            raise TermSyntaxError(f"expected identifier at column {pos} in {text!r}")
-        return text[start:pos]
-
-    def term() -> Term:
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise TermSyntaxError(f"unexpected end of input in {text!r}")
-        name = ident()
-        if name[0].isupper() or name[0] == "_":
-            if name == "_":
-                return fresh_var("_")
-            if name not in varmap:
-                varmap[name] = fresh_var(name)
-            return varmap[name]
-        skip_ws()
-        if pos < n and text[pos] == "(":
-            pos += 1
-            args = [term()]
-            skip_ws()
-            while pos < n and text[pos] == ",":
-                pos += 1
-                args.append(term())
-                skip_ws()
-            if pos >= n or text[pos] != ")":
-                raise TermSyntaxError(f"missing ')' at column {pos} in {text!r}")
-            pos += 1
-            return Compound(name, tuple(args))
-        return Const(name)
-
-    result = term()
-    skip_ws()
-    if pos != n:
-        raise TermSyntaxError(f"trailing input at column {pos} in {text!r}")
-    return result

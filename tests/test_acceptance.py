@@ -11,8 +11,9 @@ from pathlib import Path
 
 from dlgram import parse
 from dlgram.coordination import Coordinated
+from dlgram.grammar import parse_term
 from dlgram.reshape import reshape
-from dlgram.terms import canonical_text, is_variant, parse_term, unify
+from dlgram.terms import canonical_text, is_variant, unify
 from oracle_impls import (gen_pair, has_common_ground_instance, naive_parse,
                           read_expected)
 

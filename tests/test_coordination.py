@@ -4,7 +4,8 @@ from dlgram import parse
 from dlgram.coordination import (CoordinationState, attempt, combine, post,
                                  refresh_agenda)
 from dlgram.engine import Coordinated, assert_input, close, tokenize
-from dlgram.terms import canonical_text, is_variant, parse_term
+from dlgram.grammar import parse_term
+from dlgram.terms import canonical_text, is_variant
 from oracle_impls import edge_key_set
 
 FRENCH_SENT = "jean mange une pomme rouge et une verte"

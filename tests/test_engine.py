@@ -4,14 +4,16 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlgram import parse
 from dlgram.engine import (D_CATEGORY, Chart, Derived, LEFTWARD,
                            LayerCapError, Predicted, RIGHTWARD, _Trial,
                            assert_input, close, derivation_edges,
                            format_derivation, match_rule, predict, tokenize)
-from dlgram.grammar import Grammar, load_grammar, parse_grammar
-from dlgram.terms import canonical_text, is_variant, parse_term
+from dlgram.grammar import Grammar, load_grammar, parse_grammar, parse_term
+from dlgram.terms import canonical_text, is_variant
 from oracle_impls import (_brute_seatings, _instantiate, edge_key_set,
                           naive_parse, untabled_predict)
 
@@ -426,6 +428,50 @@ def test_chart_does_not_depend_on_rule_order(which, sentences, request):
             got = edge_key_set(parse(shuffled, sentence,
                                      meta_coordination=False).chart)
             assert got == want, (sentence, [r.id for r in rules])
+
+
+_WORDS = ("u", "v", "w")
+
+
+@st.composite
+def _small_grammars(draw):
+    """A 2-4 category grammar whose arguments are variables and constants
+    only, so closure stays finite, and whose every category has a lexical
+    rule, so validate passes."""
+    cats = [f"c{i}" for i in range(draw(st.integers(2, 4)))]
+    arity = {c: draw(st.integers(0, 2)) for c in cats}
+
+    def item(c):
+        if c is None:
+            return f"[{draw(st.sampled_from(_WORDS))}]"
+        args = [draw(st.sampled_from(["a", "b", "X", "Y", "Z"]))
+                for _ in range(arity[c])]
+        return f"{c}({','.join(args)})" if args else c
+
+    rules = [f"{item(c)} --> {item(None)}." for c in cats]
+    for _ in range(draw(st.integers(2, 6))):
+        body = draw(st.lists(st.sampled_from(cats + cats + [None]),
+                             min_size=1, max_size=3))
+        head = item(draw(st.sampled_from(cats)))
+        rules.append(f"{head} --> {', '.join(item(c) for c in body)}.")
+    return parse_grammar("\n".join(rules))
+
+
+@given(_small_grammars(),
+       st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5),
+                min_size=1, max_size=3),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_random_grammars_match_naive_and_ignore_rule_order(grammar, sentences,
+                                                           data):
+    rules = data.draw(st.permutations(grammar.rules))
+    shuffled = dataclasses.replace(grammar, rules=tuple(rules))
+    for tokens in sentences:
+        want = edge_key_set(naive_parse(grammar, tokens,
+                                        meta_coordination=False))
+        for g in (grammar, shuffled):
+            got = parse(g, tokens, meta_coordination=False).chart
+            assert edge_key_set(got) == want, tokens
 
 
 def test_args_match_grammar_arity(english, french):

@@ -3,10 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlgram import parse
-from dlgram.reshape import (RewriteLimitError, RewriteRule, _normalize,
-                            _StepCounter, distribution_rules, reshape,
-                            too_rule)
-from dlgram.terms import Compound, Var, fresh_var, is_variant, parse_term
+from dlgram.grammar import parse_term
+from dlgram.reshape import (REWRITE_STEP_CAP, RewriteLimitError, RewriteRule,
+                            _normalize, _StepCounter, distribution_rules,
+                            reshape, too_rule)
+from dlgram.terms import Compound, Var, fresh_var, is_variant
 
 
 def T(text, vm=None):
@@ -172,6 +173,18 @@ def test_step_cap_raises_on_nonterminating_rules():
                           Compound("p", (Compound("p", (x,)),)))
     with pytest.raises(RewriteLimitError):
         _normalize(T("p(a)"), (looping,), _StepCounter(50))
+
+
+def test_step_cap_is_reached_before_the_recursion_limit():
+    # each step nests the term one level deeper, so a walk that recursed
+    # per level would hit Python's recursion limit long before the cap
+    x = fresh_var("X")
+    looping = RewriteRule("loop", Compound("p", (x,)),
+                          Compound("p", (Compound("p", (x,)),)))
+    counter = _StepCounter(REWRITE_STEP_CAP)
+    with pytest.raises(RewriteLimitError):
+        _normalize(T("p(a)"), (looping,), counter)
+    assert counter.steps == REWRITE_STEP_CAP + 1
 
 
 # random quantified logical forms over the grammar's quantifier and

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlgram.terms import (EMPTY_SUBST, Compound, Const, Substitution, Var,
-                          abstract_over, apply, c_unify, canonical_text,
-                          fresh_var, is_variant, is_variant_seq, parse_term,
-                          rename_fresh, rename_fresh_all, unify)
+from dlgram.grammar import GrammarSyntaxError, parse_term
+from dlgram.terms import (EMPTY_SUBST, Compound, Const, Var, abstract_over,
+                          apply, c_unify, canonical_text, fresh_var,
+                          is_variant, is_variant_seq, rename_fresh,
+                          rename_fresh_all, unify)
 from oracle_impls import gen_pair, has_common_ground_instance
 
 
@@ -58,7 +59,7 @@ def test_unify_extends_given_substitution():
     s2 = unify(y, x, s)
     assert apply(s2, y) == Const("a")
     # the original substitution is untouched
-    assert y not in s
+    assert y.id not in s
 
 
 # --- apply ---------------------------------------------------------------
@@ -77,13 +78,13 @@ def test_apply_empty_is_identity():
 
 def test_apply_resolves_transitively():
     x, y = fresh_var("X"), fresh_var("Y")
-    s = Substitution({x.id: Compound("f", (y,)), y.id: Const("a")})
+    s = {x.id: Compound("f", (y,)), y.id: Const("a")}
     assert apply(s, x) == T("f(a)")
 
 
 def test_apply_idempotent_after_resolution():
     x, y = fresh_var("X"), fresh_var("Y")
-    s = Substitution({x.id: Compound("f", (y,)), y.id: Const("a")})
+    s = {x.id: Compound("f", (y,)), y.id: Const("a")}
     t = Compound("g", (x, y))
     assert apply(s, apply(s, t)) == apply(s, t)
 
@@ -228,9 +229,8 @@ def test_parse_term_roundtrip():
 
 
 def test_parse_term_rejects_garbage():
-    from dlgram.terms import TermSyntaxError
     for bad in ["", "f(", "f()", "f(a))", "f(a) x"]:
-        with pytest.raises(TermSyntaxError):
+        with pytest.raises(GrammarSyntaxError):
             parse_term(bad)
 
 
@@ -241,14 +241,26 @@ _vars = st.sampled_from([Var(-1, "X"), Var(-2, "Y")])
 _leaves = st.one_of(_consts, _vars)
 
 
-def _compound(children):
+def _compound(children, functors=st.sampled_from(["f", "g", "h"])):
     return st.builds(
         lambda f, args: Compound(f, tuple(args)),
-        st.sampled_from(["f", "g", "h"]),
-        st.lists(children, min_size=1, max_size=3))
+        functors, st.lists(children, min_size=1, max_size=3))
 
 
 _terms = st.recursive(_leaves, _compound, max_leaves=8)
+
+
+_names = st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True)
+_named_terms = st.recursive(
+    st.one_of(_names.map(Const),
+              st.sampled_from([Var(-1, "X"), Var(-2, "Y"), Var(-3, "Z")])),
+    lambda children: _compound(children, _names), max_leaves=10)
+
+
+@given(_named_terms)
+def test_parse_term_reads_canonical_text(t):
+    text = canonical_text(t)
+    assert canonical_text(parse_term(text)) == text
 
 
 @given(_terms, _terms)
