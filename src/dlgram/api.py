@@ -28,8 +28,13 @@ def parse(grammar: Grammar, sentence: Union[str, Sequence[str]], *,
 
     Coordination runs as a closure hook unless meta_coordination is off.
     If closure finishes without a start-category parse, constraints get
-    one revival round before being marked exhausted.
+    one revival round before being marked exhausted.  Raises ValueError
+    for a layer cap below 1 or a negative gap budget.
     """
+    if layer_cap < 1:
+        raise ValueError("layer cap must be at least 1")
+    if gap_budget < 0:
+        raise ValueError("gap budget must be nonnegative")
     tokens = tokenize(sentence) if isinstance(sentence, str) else list(sentence)
     chart = assert_input(tokens, trace=trace)
     coord = CoordinationState(

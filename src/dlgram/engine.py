@@ -15,7 +15,8 @@ from typing import Callable, Optional, Sequence
 
 from .grammar import Grammar, NonTerminal, Rule, Terminal
 from .terms import (EMPTY_SUBST, Compound, Const, Term, abstract_over, apply,
-                    canonical_text, fresh_var, rename_fresh_all, unify_all)
+                    canonical_text, fresh_var, rename_fresh_all, unify_all,
+                    walk)
 
 D_CATEGORY = "'D'"
 
@@ -307,16 +308,38 @@ def _renamed(rule: Rule) -> tuple:
 
 
 def _instantiate(rule: Rule, chosen: Sequence[Edge]) -> Optional[_Trial]:
-    """Rename the rule apart and unify body items with the chosen edges."""
-    head_args, body_args = _renamed(rule)
-    s = EMPTY_SUBST
-    for args, edge in zip(body_args, chosen):
-        if args is None:
+    """Unify the body items with the chosen edges and build the head.
+
+    The rule is not renamed apart: no chart edge ever holds one of a
+    grammar rule's own variables, because every head built here has its
+    rule variables bound and predict renames its rules.  A binding maps
+    a rule variable to an edge term, or an edge variable to a rule term
+    already reached in body order, so a rule variable not reached yet
+    occurs in no bound term.  Its first occurrence (from
+    Rule.join_template) is therefore bound directly, with no unify and
+    no occurs check, and only the other positions are unified.  Rule
+    variables still unbound after the body each get a fresh variable of
+    the same name, so two heads built from one rule share none.  The
+    bindings live in a dict local to the call.
+    """
+    items, variables = rule.join_template
+    s: dict = {}
+    for item, edge in zip(items, chosen):
+        if item is None:
             continue
-        s = unify_all(args, edge.args, s)
-        if s is None:
-            return None
-    return _Trial(rule.head.category, tuple(apply(s, t) for t in head_args),
+        firsts, rest_at, rest = item
+        args = edge.args
+        for k, vid in firsts:
+            s[vid] = walk(s, args[k])
+        if rest:
+            s = unify_all(rest, [args[k] for k in rest_at], s)
+            if s is None:
+                return None
+    for vid, name in variables:
+        if vid not in s:
+            s[vid] = fresh_var(name)
+    return _Trial(rule.head.category,
+                  tuple(apply(s, t) for t in rule.head.args),
                   chosen[0].start, chosen[-1].end, rule.id, tuple(chosen))
 
 
@@ -495,6 +518,8 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
         """Yield (_Trial, budget left) for constituents of cat built from
         the rules, touching pos, width >= 1."""
         for rule in grammar.rules_for(cat):
+            # renamed per build, not bound in place as in _instantiate: one
+            # rule can be active at several depths of one search tree
             head_args, body_args = _renamed(rule)
             items = list(zip(rule.body, body_args))[::step]
             for s, budget_left, kids in seat(items, depth, 0, pos, EMPTY_SUBST,

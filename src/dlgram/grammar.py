@@ -15,10 +15,11 @@ variable namespace per rule; terminals are bracketed lowercase words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from typing import Optional, Union
 
-from .terms import Compound, Const, Term, fresh_var, to_text
+from .terms import Compound, Const, Term, Var, fresh_var, to_text
 
 DEFAULT_CONNECTIVES = ("and", "or", "but")
 
@@ -47,6 +48,45 @@ class Rule:
     @property
     def is_lexical(self) -> bool:
         return all(isinstance(it, Terminal) for it in self.body)
+
+    @cached_property
+    def join_template(self) -> tuple:
+        """How closure seats the rule, worked out once: (items, variables).
+
+        items has one entry per body item: None for a terminal, else
+        (firsts, rest_at, rest).  firsts are the (position, variable id)
+        pairs whose argument is the first occurrence of a rule variable
+        in body order; rest_at are the other positions and rest their
+        rule terms.  variables is every (id, name) of the rule, the
+        head-only ones included.
+        """
+        seen: dict = {}  # variable id -> name, in order of occurrence
+        items = []
+        for it in self.body:
+            if isinstance(it, Terminal):
+                items.append(None)
+                continue
+            firsts, rest_at, rest = [], [], []
+            for k, a in enumerate(it.args):
+                if isinstance(a, Var) and a.id not in seen:
+                    firsts.append((k, a.id))
+                else:
+                    rest_at.append(k)
+                    rest.append(a)
+                _note_vars(a, seen)
+            items.append((tuple(firsts), tuple(rest_at), tuple(rest)))
+        for a in self.head.args:
+            _note_vars(a, seen)
+        return tuple(items), tuple(seen.items())
+
+
+def _note_vars(t: Term, seen: dict) -> None:
+    """Record the variables of t in seen, left to right."""
+    if isinstance(t, Var):
+        seen.setdefault(t.id, t.name)
+    elif isinstance(t, Compound):
+        for a in t.args:
+            _note_vars(a, seen)
 
 
 @dataclass(frozen=True)

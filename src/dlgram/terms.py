@@ -1,11 +1,14 @@
 """First-order terms and the symbolic operations everything else is built on.
 
-Terms are immutable trees of variables, constants, and compounds.
-A substitution is a plain dict from variable id to term that is never
-mutated: unify returns a new dict, so abandoning a failed search branch
-is just dropping the value, never undoing mutations.  Bindings may
-mention other bound variables; apply resolves them to fixpoint, and the
-occurs check in unify rules out cycles.
+Terms are immutable trees of variables, constants, and compounds, so
+subterms can be shared: apply returns a compound unchanged when nothing
+under it is bound.  A substitution is a plain dict from variable id to
+term.  unify never mutates the one it is given but returns a new dict,
+so abandoning a failed search branch is just dropping the value, never
+undoing mutations; a caller that owns a dict (engine._instantiate, whose
+bindings never leave the call) may add bindings to it directly.
+Bindings may mention other bound variables; apply resolves them to
+fixpoint, and the occurs check in unify rules out cycles.
 """
 
 from __future__ import annotations
@@ -76,10 +79,19 @@ EMPTY_SUBST: dict = {}
 
 
 def apply(s: dict, t: Term) -> Term:
-    """Replace every bound variable in t, recursively, to fixpoint."""
+    """Replace every bound variable in t, recursively, to fixpoint.
+
+    A compound with no bound variable under it is returned itself, not
+    rebuilt, and a rebuilt one keeps its unchanged arguments.
+    """
     t = walk(s, t)
     if isinstance(t, Compound):
-        return Compound(t.functor, tuple(apply(s, a) for a in t.args))
+        args = t.args
+        for i, a in enumerate(args):
+            b = apply(s, a)
+            if b is not a:
+                rest = tuple([apply(s, x) for x in args[i + 1:]])
+                return Compound(t.functor, args[:i] + (b,) + rest)
     return t
 
 

@@ -8,6 +8,10 @@ semi-naive join it is checking.
 untabled_predict is engine.predict as it was before its subgoals were
 tabled: every subgoal is searched afresh each time it comes up.
 
+renaming_instantiate, which naive_parse uses, is engine._instantiate as
+it was before rules were compiled into join templates: the rule is
+renamed apart for every seating and each body item is unified in full.
+
 ground-instance helpers decide unifiability of jointly-generated term
 pairs by enumerating all instantiations over a two-constant universe.
 """
@@ -45,6 +49,15 @@ def edge_key_set(chart):
             for e in chart.edges}
 
 
+def var_ids(t) -> set:
+    """Ids of the variables in a term."""
+    if isinstance(t, Var):
+        return {t.id}
+    if isinstance(t, Compound):
+        return set().union(*map(var_ids, t.args))
+    return set()
+
+
 def _brute_seatings(rule, chart, id_limit):
     """Every contiguous seating of the rule body, found by scanning the
     raw edge list (no positional indexes)."""
@@ -75,7 +88,9 @@ def _brute_seatings(rule, chart, id_limit):
     return seatings
 
 
-def _instantiate(rule, chosen):
+def renaming_instantiate(rule, chosen):
+    """Rename the rule apart and unify body items with the chosen edges:
+    a _Trial, or None."""
     nt_vectors = [rule.head.args] + [
         it.args for it in rule.body if isinstance(it, NonTerminal)]
     flat = [t for vec in nt_vectors for t in vec]
@@ -94,7 +109,8 @@ def _instantiate(rule, chosen):
         vi += 1
         if s is None:
             return None
-    return tuple(apply(s, t) for t in vectors[0])
+    return _Trial(rule.head.category, tuple(apply(s, t) for t in vectors[0]),
+                  chosen[0].start, chosen[-1].end, rule.id, tuple(chosen))
 
 
 def _naive_rounds(chart, grammar, coord, round_cap=64):
@@ -106,13 +122,12 @@ def _naive_rounds(chart, grammar, coord, round_cap=64):
         chart.begin_layer()
         for rule in grammar.rules:
             for chosen in _brute_seatings(rule, chart, id_limit):
-                args = _instantiate(rule, chosen)
-                if args is None:
+                t = renaming_instantiate(rule, chosen)
+                if t is None:
                     continue
                 prov = (Lexical(rule.id) if rule.is_lexical
                         else Derived(rule.id, tuple(e.id for e in chosen)))
-                chart.add(rule.head.category, args,
-                          chosen[0].start, chosen[-1].end, prov)
+                chart.add(t.category, t.args, t.start, t.end, prov)
         if coord is not None:
             coord.after_layer(chart)
         if not chart.layers[-1]:

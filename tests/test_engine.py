@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlgram import parse
-from dlgram.engine import (D_CATEGORY, Chart, Derived, LEFTWARD,
-                           LayerCapError, Predicted, RIGHTWARD, _Trial,
-                           assert_input, close, derivation_edges,
+from dlgram.engine import (D_CATEGORY, Chart, Derived, InputWord, LEFTWARD,
+                           LayerCapError, Predicted, RIGHTWARD, _instantiate,
+                           _Trial, assert_input, close, derivation_edges,
                            format_derivation, match_rule, predict, tokenize)
-from dlgram.grammar import Grammar, load_grammar, parse_grammar, parse_term
-from dlgram.terms import canonical_text, is_variant
-from oracle_impls import (_brute_seatings, _instantiate, edge_key_set,
-                          naive_parse, untabled_predict)
+from dlgram.grammar import (Grammar, NonTerminal, load_grammar, parse_grammar,
+                            parse_term)
+from dlgram.terms import Var, canonical_text, is_variant
+from oracle_impls import (_brute_seatings, edge_key_set, naive_parse,
+                          renaming_instantiate, untabled_predict, var_ids)
 
 FRENCH_SENT = "jean mange une pomme rouge et une verte"
 WOODS_SENT = "john drove the car through and demolished a window"
@@ -25,6 +26,28 @@ PP_GAP = Path(__file__).parent.parent / "perfbench" / "pp_gap.dlg"
 PP_GAP_SENT = "jean voit une femme sur une table avec une femme et avec sur une"
 # no parse after the first pass at gap budget 2: the revival round predicts
 REVIVAL_SENT = "jean voit une table avec une femme et avec sur une"
+# the sentences of the seven goldens: (grammar, sentence, gap budget,
+# all_solutions)
+GOLDEN_PARSES = [
+    ("french", FRENCH_SENT, 1, False),
+    ("english", WOODS_SENT, 1, False),
+    ("english", "john drove a car through and mary demolished a window", 1,
+     False),
+    ("french", "jean mange une pomme rouge et une", 2, False),
+    ("english", "each man and each woman ate an apple", 2, True),
+    ("pp_gap", REVIVAL_SENT, 2, False),
+    ("pp_gap", PP_GAP_SENT, 3, False),
+]
+
+
+def _golden_parses(request):
+    """(grammar, ParseRun) for each golden sentence."""
+    pp_gap = load_grammar(PP_GAP)
+    for which, sentence, budget, all_coord in GOLDEN_PARSES:
+        grammar = (pp_gap if which == "pp_gap"
+                   else request.getfixturevalue(which))
+        yield grammar, parse(grammar, sentence, gap_budget=budget,
+                             all_solutions=all_coord)
 
 
 def spans(edges):
@@ -85,6 +108,17 @@ def test_layer_cap():
     g = parse_grammar("s --> [a].")
     with pytest.raises(LayerCapError):
         close(assert_input(["a"]), g, layer_cap=1)
+
+
+@pytest.mark.parametrize("limits, message", [
+    ({"layer_cap": 0}, "layer cap must be at least 1"),
+    ({"gap_budget": -1}, "gap budget must be nonnegative")])
+def test_parse_rejects_bad_limits(limits, message):
+    # the CLI's two messages, not a layer cap hit or a silent budget of 0
+    g = parse_grammar("s --> [a].")
+    with pytest.raises(ValueError) as info:
+        parse(g, "a", **limits)
+    assert str(info.value) == message
 
 
 def test_close_monotone_layers_partition(french):
@@ -192,17 +226,141 @@ def test_match_rule_equals_brute_seatings(which, sentence, request):
     for rule in grammar.rules:
         brute = []  # (start, end, children, head args)
         for chosen in _brute_seatings(rule, chart, len(chart.edges)):
-            args = _instantiate(rule, chosen)
-            if args is not None:
-                brute.append((chosen[0].start, chosen[-1].end,
-                              tuple(e.id for e in chosen),
-                              canonical_text(args)))
+            t = renaming_instantiate(rule, chosen)
+            if t is not None:
+                brute.append((t.start, t.end, tuple(e.id for e in chosen),
+                              canonical_text(t.args)))
         for delta in deltas:
             want = [b for b in brute if not delta.isdisjoint(b[2])]
             got = [(t.start, t.end, tuple(e.id for e in t.children),
                     canonical_text(t.args))
                    for t in match_rule(rule, delta, chart)]
             assert got == want, (rule.id, sorted(delta))
+
+
+def _same_instantiation(rule, chosen):
+    """Assert that _instantiate and the renaming oracle agree on a
+    seating; returns whether it succeeded."""
+    got = _instantiate(rule, chosen)
+    want = renaming_instantiate(rule, chosen)
+    assert (got is None) == (want is None), (rule.id, chosen)
+    if got is None:
+        return False
+    assert (got.category, canonical_text(got.args), got.start, got.end,
+            got.origin, got.children) == (
+        want.category, canonical_text(want.args), want.start, want.end,
+        want.origin, want.children), (rule.id, chosen)
+    return True
+
+
+def test_instantiate_equals_renaming_on_golden_charts(request):
+    # every seating of every rule on the closed golden charts, predicted,
+    # gap and coordinated edges included
+    outcomes = []
+    for grammar, run in _golden_parses(request):
+        chart = run.chart
+        for rule in grammar.rules:
+            for chosen in _brute_seatings(rule, chart, len(chart.edges)):
+                outcomes.append(_same_instantiation(rule, chosen))
+    assert len(outcomes) > 100
+
+
+def _seat_on_chart(rule_text: str, edge_args: list) -> tuple:
+    """The rule of rule_text and one seating of its body on fresh edges,
+    edge_args giving each body item's edge arguments as term text (one
+    variable namespace for all of them, so edges may share variables)."""
+    rule = parse_grammar(rule_text, strict=False).rules[0]
+    chart = assert_input(["w"] * len(rule.body))
+    chart.begin_layer()
+    varmap: dict = {}
+    chosen = []
+    for i, (item, text) in enumerate(zip(rule.body, edge_args)):
+        args = tuple(parse_term(a, varmap) for a in text) if text else ()
+        chosen.append(chart.add(item.category, args, i, i + 1,
+                                InputWord())[0])
+    return rule, chosen
+
+
+@pytest.mark.parametrize("rule_text, edge_args, succeeds", [
+    # compound body arguments, bound both ways
+    ("p(X,Y) --> q(f(X),g(Y,b)), r(Y).",
+     [["A", "g(B,B)"], ["b"]], True),
+    ("p(X,Y) --> q(f(X),g(Y,b)), r(Y).",
+     [["f(h(C))", "g(B,a)"], ["c"]], False),
+    # a variable repeated inside one item
+    ("p(X) --> q(X,X).", [["f(A)", "f(b)"]], True),
+    ("p(X) --> q(X,X).", [["a", "b"]], False),
+    # a head-only variable
+    ("p(X,Y) --> q(X).", [["f(A)"]], True),
+    # a first occurrence after a compound that holds it
+    ("p(X) --> q(f(X),X).", [["A", "b"]], True),
+    # edges sharing variables
+    ("p(X,Y) --> q(X), r(Y,X).", [["A"], ["g(A)", "A"]], True),
+    # only the occurs check rejects these
+    ("p(X) --> q(X,f(X)).", [["Y", "Y"]], False),
+    ("p(X) --> q(X), r(f(X)).", [["A"], ["A"]], False),
+])
+def test_instantiate_template_paths(rule_text, edge_args, succeeds):
+    rule, chosen = _seat_on_chart(rule_text, edge_args)
+    assert _same_instantiation(rule, chosen) is succeeds
+
+
+# arguments: a bare variable half the time, else a term over X, Y, Z
+# (edge arguments over A, B, C) and the constants a and b
+_RULE_TERMS = st.one_of(st.sampled_from(["X", "Y", "Z"]), st.recursive(
+    st.sampled_from(["X", "Y", "Z", "a", "b"]),
+    lambda kids: st.one_of(kids.map(lambda t: f"f({t})"),
+                           st.tuples(kids, kids).map(
+                               lambda ts: f"g({ts[0]},{ts[1]})")),
+    max_leaves=4))
+_EDGE_TERMS = _RULE_TERMS.map(
+    lambda t: t.replace("X", "A").replace("Y", "B").replace("Z", "C"))
+
+
+@st.composite
+def _seatings(draw):
+    """A one-rule grammar (head-only variables allowed) and one seating
+    of its 1-3 body items on edges whose arguments are drawn from the
+    same terms over edge variables."""
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    body, edges = [], []
+    for i, arity in enumerate(arities):
+        args = draw(st.lists(_RULE_TERMS, min_size=arity, max_size=arity))
+        body.append(f"q{i}({','.join(args)})" if args else f"q{i}")
+        edges.append(draw(st.lists(_EDGE_TERMS, min_size=arity,
+                                   max_size=arity)))
+    head = draw(st.lists(st.sampled_from(["X", "Y", "W", "f(W,X)", "a"]),
+                         min_size=1, max_size=3))
+    return f"p({','.join(head)}) --> {', '.join(body)}.", edges
+
+
+@given(_seatings())
+@settings(max_examples=400, deadline=None)
+def test_instantiate_equals_renaming_on_random_rules(seating):
+    _same_instantiation(*_seat_on_chart(*seating))
+
+
+def test_chart_holds_no_rule_variable(request):
+    # what lets _instantiate bind a rule's own variables without renaming
+    checked = 0
+    for grammar, run in _golden_parses(request):
+        rule_vars = set().union(*(
+            var_ids(a) for r in grammar.rules for it in (r.head,) + r.body
+            if isinstance(it, NonTerminal) for a in it.args))
+        for e in run.chart.edges:
+            edge_vars = set().union(*map(var_ids, e.args))
+            assert not edge_vars & rule_vars, e
+            checked += bool(edge_vars and rule_vars)
+    assert checked > 50
+
+
+def test_head_only_variables_are_fresh_per_edge():
+    g = parse_grammar("s(X,Y) --> q(X).\nq(a) --> [u].\nq(b) --> [v].")
+    chart = parse(g, "u v").chart
+    first, second = [e for e in chart.edges if e.category == "s"]
+    assert isinstance(first.args[1], Var) and isinstance(second.args[1], Var)
+    assert first.args[1] != second.args[1]
+    assert first.args[1].name == second.args[1].name == "Y"
 
 
 # --- predict ---------------------------------------------------------------------
@@ -244,17 +402,8 @@ def test_predict_woods_target_vp(english):
     gap = next(x for x in chart.edges if x.is_gap)
     corr = chart.edges[gap.provenance.source]
     assert (corr.category, corr.start, corr.end) == ("np", 7, 9)
-    shared = set(_vars(gap.args[2])) & set(_vars(source.args[1]))
+    shared = var_ids(gap.args[2]) & var_ids(source.args[1])
     assert shared, "gap must reuse source variables, not requantify"
-
-
-def _vars(t):
-    from dlgram.terms import Compound, Var
-    if isinstance(t, Var):
-        yield t.id
-    elif isinstance(t, Compound):
-        for a in t.args:
-            yield from _vars(a)
 
 
 def test_predict_needs_real_material(english):

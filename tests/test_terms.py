@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlgram import parse
 from dlgram.grammar import GrammarSyntaxError, parse_term
 from dlgram.terms import (EMPTY_SUBST, Compound, Const, Var, abstract_over,
                           apply, c_unify, canonical_text, fresh_var,
                           is_variant, is_variant_seq, rename_fresh,
                           rename_fresh_all, unify)
-from oracle_impls import gen_pair, has_common_ground_instance
+from oracle_impls import gen_pair, has_common_ground_instance, var_ids
 
 
 def T(text, varmap=None):
@@ -80,6 +81,25 @@ def test_apply_resolves_transitively():
     x, y = fresh_var("X"), fresh_var("Y")
     s = {x.id: Compound("f", (y,)), y.id: Const("a")}
     assert apply(s, x) == T("f(a)")
+
+
+def test_apply_shares_unbound_subterms():
+    vm = {}
+    t = T("f(X,g(Y,a),h(b))", vm)
+    z = fresh_var("Z")
+    assert apply(EMPTY_SUBST, t) is t
+    assert apply({z.id: Const("c")}, t) is t
+    # a rebuilt compound keeps the arguments with nothing bound under them
+    out = apply({vm["X"].id: Const("c")}, t)
+    assert out == T("f(c,g(Y,a),h(b))", vm)
+    assert out.args[1] is t.args[1] and out.args[2] is t.args[2]
+
+
+def test_empty_subst_stays_empty_after_a_parse(english):
+    # _instantiate adds bindings to a dict it owns, never to EMPTY_SUBST
+    run = parse(english, "john drove the car through and demolished a window")
+    assert run.results
+    assert EMPTY_SUBST == {}
 
 
 def test_apply_idempotent_after_resolution():
@@ -255,6 +275,24 @@ _named_terms = st.recursive(
     st.one_of(_names.map(Const),
               st.sampled_from([Var(-1, "X"), Var(-2, "Y"), Var(-3, "Z")])),
     lambda children: _compound(children, _names), max_leaves=10)
+
+
+def _rebuilt(s, t):
+    """apply without sharing: every compound is built anew."""
+    while isinstance(t, Var) and t.id in s:
+        t = s[t.id]
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_rebuilt(s, a) for a in t.args))
+    return t
+
+
+@given(_terms, st.sets(st.sampled_from([-1, -2, -3])))
+def test_apply_returns_t_when_nothing_under_it_is_bound(t, bound):
+    s = {vid: Compound("k", (Const("c"),)) for vid in bound}
+    out = apply(s, t)
+    assert out == _rebuilt(s, t)
+    if not var_ids(t) & bound:
+        assert out is t
 
 
 @given(_named_terms)
