@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
-from .grammar import Grammar, NonTerminal, Rule, Terminal
+from .grammar import Grammar, Rule, Terminal
 from .terms import (EMPTY_SUBST, Compound, Const, Term, abstract_over, apply,
-                    canonical_text, fresh_var, rename_fresh_all, unify_all,
-                    walk)
+                    canonical_text, fresh_var, unify_all, walk)
+# not called here; perfbench's tracer wraps engine.rename_fresh_all by name
+from .terms import rename_fresh_all  # noqa: F401
 
 D_CATEGORY = "'D'"
 
@@ -246,7 +247,7 @@ def _seats(item, e: Edge) -> bool:
     item.  Zero-width gap edges never participate in ordinary rule
     matching."""
     if isinstance(item, Terminal):
-        return e.args[0] == Const(item.token)
+        return e.args[0] == item.word
     return not e.is_zero_width
 
 
@@ -290,37 +291,20 @@ def match_rule(rule: Rule, delta: set, chart: Chart) -> list:
     return out
 
 
-def _renamed(rule: Rule) -> tuple:
-    """The rule renamed apart, with one shared mapping: (head args, one
-    argument vector per body item, None for terminals)."""
-    vectors = [rule.head.args] + [
-        it.args for it in rule.body if isinstance(it, NonTerminal)]
-    renamed = rename_fresh_all([t for vec in vectors for t in vec])
-    i = len(rule.head.args)
-    head_args, body_args = renamed[:i], []
-    for it in rule.body:
-        if isinstance(it, NonTerminal):
-            body_args.append(renamed[i:i + len(it.args)])
-            i += len(it.args)
-        else:
-            body_args.append(None)
-    return head_args, body_args
-
-
 def _instantiate(rule: Rule, chosen: Sequence[Edge]) -> Optional[_Trial]:
     """Unify the body items with the chosen edges and build the head.
 
     The rule is not renamed apart: no chart edge ever holds one of a
-    grammar rule's own variables, because every head built here has its
-    rule variables bound and predict renames its rules.  A binding maps
-    a rule variable to an edge term, or an edge variable to a rule term
-    already reached in body order, so a rule variable not reached yet
-    occurs in no bound term.  Its first occurrence (from
-    Rule.join_template) is therefore bound directly, with no unify and
-    no occurs check, and only the other positions are unified.  Rule
-    variables still unbound after the body each get a fresh variable of
-    the same name, so two heads built from one rule share none.  The
-    bindings live in a dict local to the call.
+    grammar rule's own variables, because every head built here or by
+    predict has its rule variables bound.  A binding maps a rule
+    variable to an edge term, or an edge variable to a rule term already
+    reached in body order, so a rule variable not reached yet occurs in
+    no bound term.  Its first occurrence (from Rule.join_template) is
+    therefore bound directly, with no unify and no occurs check, and
+    only the other positions are unified.  Rule variables still unbound
+    after the body each get a fresh variable of the same name, so two
+    heads built from one rule share none.  The bindings live in a dict
+    local to the call.
     """
     items, variables = rule.join_template
     s: dict = {}
@@ -434,6 +418,14 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     which is the order in which the search created them.  Predicted
     roots must cover at least one token.
 
+    Rules are seated through their join templates in build order
+    (Rule.join_template rightward, Rule.reversed_join_template
+    leftward), as _instantiate seats them, not renamed apart: each
+    child binds the first occurrences of rule variables directly in a
+    copy of the seating's substitution and unifies only the other
+    positions.  A completed seating gives every rule variable still
+    unbound a fresh variable of the same name, then builds the head.
+
     Subgoals are tabled within the call.  The chart, source and direction
     do not change during the search, so what build(cat, pos, budget,
     depth) yields depends on those four values alone: once a build has
@@ -447,11 +439,14 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     correspondent of each gap category is looked up once per call too.
     """
     # touching(cat, pos): chart edges on the anchored side of pos; far(e):
-    # where the next item in build order starts; step: build order
+    # where the next item in build order starts; step: build order;
+    # template(rule): the rule's join template in build order
     if direction == RIGHTWARD:
         touching, far, step = chart.at_start, attrgetter("end"), 1
+        template = attrgetter("join_template")
     elif direction == LEFTWARD:
         touching, far, step = chart.at_end, attrgetter("start"), -1
+        template = attrgetter("reversed_join_template")
     else:
         raise ValueError(f"unknown direction {direction!r}")
 
@@ -494,41 +489,58 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
         if g is not None:
             yield g, budget - 1
 
-    def seat(items: list, depth: int, k: int, pos_k: int, s, budget_k: int,
-             kids: tuple):
-        """Yield (substitution, budget left, children) for every seating
-        of items[k:], (body item, renamed args) pairs in build order."""
-        if k == len(items):
-            yield s, budget_k, kids
+    def seat(body: tuple, plan: tuple, depth: int, k: int, pos_k: int,
+             s: dict, budget_k: int, kids: tuple):
+        """Yield (substitution, budget left, children, end) for every
+        seating of body[k:], the body in build order with plan its join
+        template items; end is the position the seating reaches."""
+        if k == len(body):
+            yield s, budget_k, kids, pos_k
             return
-        item, args = items[k]
+        item = body[k]
         if isinstance(item, Terminal):
+            word = item.word
             for e in touching(D_CATEGORY, pos_k):
-                if e.args[0] == Const(item.token):
-                    yield from seat(items, depth, k + 1, far(e), s, budget_k,
-                                    kids + (e,))
+                if e.args[0] == word:
+                    yield from seat(body, plan, depth, k + 1, far(e), s,
+                                    budget_k, kids + (e,))
             return
+        firsts, rest_at, rest = plan[k]
         for child, budget2 in options(item.category, pos_k, budget_k, depth):
-            s2 = unify_all(args, child.args, s)
-            if s2 is not None:
-                yield from seat(items, depth, k + 1, far(child), s2, budget2,
-                                kids + (child,))
+            args = child.args
+            s2 = s
+            if firsts:
+                s2 = s.copy()
+                for j, vid in firsts:
+                    s2[vid] = walk(s, args[j])
+            if rest:
+                s2 = unify_all(rest, [args[j] for j in rest_at], s2)
+                if s2 is None:
+                    continue
+            yield from seat(body, plan, depth, k + 1, far(child), s2, budget2,
+                            kids + (child,))
 
     def build(cat: str, pos: int, budget: int, depth: int):
         """Yield (_Trial, budget left) for constituents of cat built from
         the rules, touching pos, width >= 1."""
+        # Not renamed apart: each build starts from EMPTY_SUBST and its
+        # trials leave with every rule variable applied or freshened, so a
+        # rule active at several depths of one search tree never meets its
+        # own variables in a child; gap arguments come from chart edges,
+        # which hold no rule variable either.
         for rule in grammar.rules_for(cat):
-            # renamed per build, not bound in place as in _instantiate: one
-            # rule can be active at several depths of one search tree
-            head_args, body_args = _renamed(rule)
-            items = list(zip(rule.body, body_args))[::step]
-            for s, budget_left, kids in seat(items, depth, 0, pos, EMPTY_SUBST,
-                                             budget, ()):
-                start = min(c.start for c in kids)
-                end = max(c.end for c in kids)
-                if start == end:
+            plan, variables = template(rule)
+            for s, budget_left, kids, reached in seat(
+                    rule.body[::step], plan, depth, 0, pos, EMPTY_SUBST,
+                    budget, ()):
+                if reached == pos:
                     continue  # an all-gap constituent reconstructs nothing
-                yield _Trial(cat, tuple(apply(s, t) for t in head_args),
+                s = s.copy()
+                for vid, name in variables:
+                    if vid not in s:
+                        s[vid] = fresh_var(name)
+                start, end = (pos, reached)[::step]
+                yield _Trial(cat, tuple(apply(s, t) for t in rule.head.args),
                              start, end, rule.id, kids), budget_left
 
     def commit(node) -> Edge:

@@ -28,6 +28,11 @@ DEFAULT_CONNECTIVES = ("and", "or", "but")
 class Terminal:
     token: str
 
+    @cached_property
+    def word(self) -> Const:
+        """The token as its input edge's argument, 'D'(word, i, i+1)."""
+        return Const(self.token)
+
 
 @dataclass(frozen=True)
 class NonTerminal:
@@ -51,7 +56,8 @@ class Rule:
 
     @cached_property
     def join_template(self) -> tuple:
-        """How closure seats the rule, worked out once: (items, variables).
+        """How closure and rightward prediction seat the rule, worked out
+        once: (items, variables).
 
         items has one entry per body item: None for a terminal, else
         (firsts, rest_at, rest).  firsts are the (position, variable id)
@@ -60,24 +66,36 @@ class Rule:
         rule terms.  variables is every (id, name) of the rule, the
         head-only ones included.
         """
-        seen: dict = {}  # variable id -> name, in order of occurrence
-        items = []
-        for it in self.body:
-            if isinstance(it, Terminal):
-                items.append(None)
-                continue
-            firsts, rest_at, rest = [], [], []
-            for k, a in enumerate(it.args):
-                if isinstance(a, Var) and a.id not in seen:
-                    firsts.append((k, a.id))
-                else:
-                    rest_at.append(k)
-                    rest.append(a)
-                _note_vars(a, seen)
-            items.append((tuple(firsts), tuple(rest_at), tuple(rest)))
-        for a in self.head.args:
+        return _join_template(self.body, self.head)
+
+    @cached_property
+    def reversed_join_template(self) -> tuple:
+        """join_template over the reversed body, the order in which
+        leftward prediction seats it: items run from the last body item
+        to the first, and a first occurrence is first in that order."""
+        return _join_template(self.body[::-1], self.head)
+
+
+def _join_template(body: tuple, head: NonTerminal) -> tuple:
+    """Rule.join_template of a body taken in the given order."""
+    seen: dict = {}  # variable id -> name, in order of occurrence
+    items = []
+    for it in body:
+        if isinstance(it, Terminal):
+            items.append(None)
+            continue
+        firsts, rest_at, rest = [], [], []
+        for k, a in enumerate(it.args):
+            if isinstance(a, Var) and a.id not in seen:
+                firsts.append((k, a.id))
+            else:
+                rest_at.append(k)
+                rest.append(a)
             _note_vars(a, seen)
-        return tuple(items), tuple(seen.items())
+        items.append((tuple(firsts), tuple(rest_at), tuple(rest)))
+    for a in head.args:
+        _note_vars(a, seen)
+    return tuple(items), tuple(seen.items())
 
 
 def _note_vars(t: Term, seen: dict) -> None:

@@ -6,7 +6,8 @@ under it is bound.  A substitution is a plain dict from variable id to
 term.  unify never mutates the one it is given but returns a new dict,
 so abandoning a failed search branch is just dropping the value, never
 undoing mutations; a caller that owns a dict (engine._instantiate, whose
-bindings never leave the call) may add bindings to it directly.
+bindings never leave the call, or a copy engine.predict has just made)
+may add bindings to it directly.
 Bindings may mention other bound variables; apply resolves them to
 fixpoint, and the occurs check in unify rules out cycles.
 """

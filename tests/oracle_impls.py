@@ -6,7 +6,9 @@ the term primitives and the coordination hook with the engine, not the
 semi-naive join it is checking.
 
 untabled_predict is engine.predict as it was before its subgoals were
-tabled: every subgoal is searched afresh each time it comes up.
+tabled and before it seated rules through their join templates: every
+subgoal is searched afresh each time it comes up, and every build
+renames its rule apart and unifies each body item in full.
 
 renaming_instantiate, which naive_parse uses, is engine._instantiate as
 it was before rules were compiled into join templates: the rule is
@@ -16,21 +18,24 @@ ground-instance helpers decide unifiability of jointly-generated term
 pairs by enumerating all instantiations over a two-constant universe.
 """
 
+import importlib.util
 import itertools
 import random
+import sys
 from operator import attrgetter
 from pathlib import Path
 
 from dlgram.coordination import CoordinationState
 from dlgram.engine import (D_CATEGORY, LEFTWARD, PREDICT_DEPTH_CAP,
                            RIGHTWARD, Derived, Edge, Gap, Lexical, Predicted,
-                           _find_correspondent, _renamed, _Trial, assert_input)
+                           _find_correspondent, _Trial, assert_input)
 from dlgram.grammar import NonTerminal, Terminal
 from dlgram.terms import (EMPTY_SUBST, Compound, Const, Var, abstract_over,
                           apply, canonical_text, fresh_var, rename_fresh_all,
                           unify_all)
 
 ORACLE_DIR = Path(__file__).parent / "oracles"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def read_expected(name: str) -> dict:
@@ -41,6 +46,21 @@ def read_expected(name: str) -> dict:
             key, _, value = line.partition(":")
             out[key.strip()] = value.strip()
     return out
+
+
+def pp_gap_pool(seed):
+    """(sentence, gap budget) for each item of the benchmark's pp-gap
+    pool, read from perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+        return [(item.text, item.gap_budget)
+                for item in workloads.pool("pp-gap", seed)]
+    finally:
+        del sys.modules[spec.name]
 
 
 def edge_key_set(chart):
@@ -88,28 +108,35 @@ def _brute_seatings(rule, chart, id_limit):
     return seatings
 
 
+def _renamed(rule):
+    """The rule renamed apart, with one shared mapping: (head args, one
+    argument vector per body item, None for terminals)."""
+    vectors = [rule.head.args] + [
+        it.args for it in rule.body if isinstance(it, NonTerminal)]
+    renamed = rename_fresh_all([t for vec in vectors for t in vec])
+    i = len(rule.head.args)
+    head_args, body_args = renamed[:i], []
+    for it in rule.body:
+        if isinstance(it, NonTerminal):
+            body_args.append(renamed[i:i + len(it.args)])
+            i += len(it.args)
+        else:
+            body_args.append(None)
+    return head_args, body_args
+
+
 def renaming_instantiate(rule, chosen):
     """Rename the rule apart and unify body items with the chosen edges:
     a _Trial, or None."""
-    nt_vectors = [rule.head.args] + [
-        it.args for it in rule.body if isinstance(it, NonTerminal)]
-    flat = [t for vec in nt_vectors for t in vec]
-    renamed = rename_fresh_all(flat)
-    vectors = []
-    i = 0
-    for vec in nt_vectors:
-        vectors.append(renamed[i:i + len(vec)])
-        i += len(vec)
+    head_args, body_args = _renamed(rule)
     s = EMPTY_SUBST
-    vi = 1
-    for item, edge in zip(rule.body, chosen):
-        if isinstance(item, Terminal):
+    for args, edge in zip(body_args, chosen):
+        if args is None:
             continue
-        s = unify_all(vectors[vi], edge.args, s)
-        vi += 1
+        s = unify_all(args, edge.args, s)
         if s is None:
             return None
-    return _Trial(rule.head.category, tuple(apply(s, t) for t in vectors[0]),
+    return _Trial(rule.head.category, tuple(apply(s, t) for t in head_args),
                   chosen[0].start, chosen[-1].end, rule.id, tuple(chosen))
 
 

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import subprocess
 import sys
@@ -10,7 +9,7 @@ import pytest
 import dlgram.coordination
 from dlgram import load_grammar, parse
 from dlgram.cli import emit_json, main
-from oracle_impls import untabled_predict
+from oracle_impls import pp_gap_pool, untabled_predict
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -292,25 +291,11 @@ def _parse_output(grammar, sentence, gap_budget, all_coord):
     return lines, run.log, doc
 
 
-def _pp_gap_pool(seed):
-    """The benchmark's pp-gap pool, read from perfbench/workloads.py."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(workloads)
-        return [(item.text, item.gap_budget)
-                for item in workloads.pool("pp-gap", seed)]
-    finally:
-        del sys.modules[spec.name]
-
-
 def _untabled_cases():
     """(grammar, sentence, gap budget, --all-coord) for the comparison."""
     pp_gap = str(ROOT / "perfbench" / "pp_gap.dlg")
     cases = [(pp_gap, text, budget, False)
-             for text, budget in _pp_gap_pool(1)]
+             for text, budget in pp_gap_pool(1)]
     for _name, grammar, argv in GOLDEN_RUNS:
         sentence = argv[argv.index("-s") + 1]
         for budget in range(4):

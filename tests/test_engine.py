@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dlgram.coordination
 from dlgram import parse
 from dlgram.engine import (D_CATEGORY, Chart, Derived, InputWord, LEFTWARD,
                            LayerCapError, Predicted, RIGHTWARD, _instantiate,
                            _Trial, assert_input, close, derivation_edges,
                            format_derivation, match_rule, predict, tokenize)
-from dlgram.grammar import (Grammar, NonTerminal, load_grammar, parse_grammar,
-                            parse_term)
-from dlgram.terms import Var, canonical_text, is_variant
+from dlgram.grammar import (Grammar, NonTerminal, Terminal, load_grammar,
+                            parse_grammar, parse_term)
+from dlgram.terms import Const, Var, canonical_text, is_variant
 from oracle_impls import (_brute_seatings, edge_key_set, naive_parse,
-                          renaming_instantiate, untabled_predict, var_ids)
+                          pp_gap_pool, renaming_instantiate, untabled_predict,
+                          var_ids)
 
 FRENCH_SENT = "jean mange une pomme rouge et une verte"
 WOODS_SENT = "john drove the car through and demolished a window"
@@ -40,12 +42,26 @@ GOLDEN_PARSES = [
 ]
 
 
-def _golden_parses(request):
-    """(grammar, ParseRun) for each golden sentence."""
+def _golden_cases(request):
+    """(grammar, sentence, gap budget, all_solutions) for each golden
+    sentence."""
     pp_gap = load_grammar(PP_GAP)
-    for which, sentence, budget, all_coord in GOLDEN_PARSES:
-        grammar = (pp_gap if which == "pp_gap"
-                   else request.getfixturevalue(which))
+    return [(pp_gap if which == "pp_gap" else request.getfixturevalue(which),
+             sentence, budget, all_coord)
+            for which, sentence, budget, all_coord in GOLDEN_PARSES]
+
+
+def _pp_gap_pool_cases():
+    """The benchmark's pp-gap pools of seeds 1-3, whose items run at gap
+    budgets 2 and 3, in _golden_cases' form."""
+    grammar = load_grammar(PP_GAP)
+    return [(grammar, sentence, budget, False) for seed in (1, 2, 3)
+            for sentence, budget in pp_gap_pool(seed)]
+
+
+def _parses(cases):
+    """(grammar, ParseRun) for each case."""
+    for grammar, sentence, budget, all_coord in cases:
         yield grammar, parse(grammar, sentence, gap_budget=budget,
                              all_solutions=all_coord)
 
@@ -257,7 +273,7 @@ def test_instantiate_equals_renaming_on_golden_charts(request):
     # every seating of every rule on the closed golden charts, predicted,
     # gap and coordinated edges included
     outcomes = []
-    for grammar, run in _golden_parses(request):
+    for grammar, run in _parses(_golden_cases(request)):
         chart = run.chart
         for rule in grammar.rules:
             for chosen in _brute_seatings(rule, chart, len(chart.edges)):
@@ -341,9 +357,13 @@ def test_instantiate_equals_renaming_on_random_rules(seating):
 
 
 def test_chart_holds_no_rule_variable(request):
-    # what lets _instantiate bind a rule's own variables without renaming
-    checked = 0
-    for grammar, run in _golden_parses(request):
+    # what lets _instantiate and predict bind a rule's own variables
+    # without renaming.  On the pp-gap pool charts np(N) --> np(N), pp(_)
+    # is active at many depths of one search, and leftward predictions
+    # commit gaps.
+    checked = gaps = 0
+    for grammar, run in _parses(_golden_cases(request)
+                                + _pp_gap_pool_cases()):
         rule_vars = set().union(*(
             var_ids(a) for r in grammar.rules for it in (r.head,) + r.body
             if isinstance(it, NonTerminal) for a in it.args))
@@ -351,7 +371,8 @@ def test_chart_holds_no_rule_variable(request):
             edge_vars = set().union(*map(var_ids, e.args))
             assert not edge_vars & rule_vars, e
             checked += bool(edge_vars and rule_vars)
-    assert checked > 50
+            gaps += e.is_gap
+    assert checked > 250 and gaps > 100
 
 
 def test_head_only_variables_are_fresh_per_edge():
@@ -469,6 +490,191 @@ def test_predict_table_keys_the_budget():
         found.append(format_derivation(chart, e))
     assert found[0] == found[1]
     assert found[0].splitlines()[-1].strip() == "c(5,5)  [gap from e8]"
+
+
+def _chart_copy(chart: Chart) -> Chart:
+    """A new chart with the same edges, ids and layers, sharing their
+    terms, so that a prediction on it leaves the original as it was."""
+    copy = Chart(chart.tokens)
+    for e in chart.edges:
+        while copy.current_layer < e.layer:
+            copy.begin_layer()
+        copy.add(e.category, e.args, e.start, e.end, e.provenance)
+    while copy.current_layer < chart.current_layer:
+        copy.begin_layer()
+    return copy
+
+
+def _same_prediction(grammar, chart, *call):
+    """Run predict and the untabled, renaming oracle on copies of the
+    chart and assert the same outcome: None from both, or the same
+    derivation with the same variables shared across the whole chart.
+    Returns the derivation text or None."""
+    outcomes = []
+    for fn in (predict, untabled_predict):
+        copy = _chart_copy(chart)
+        e = fn(grammar, copy, *call)
+        outcomes.append(None if e is None else (
+            format_derivation(copy, e),
+            canonical_text([a for x in copy.edges for a in x.args])))
+    assert outcomes[0] == outcomes[1], call
+    return outcomes[0] and outcomes[0][0]
+
+
+def test_predict_equals_renaming_oracle_on_recorded_calls(request,
+                                                          monkeypatch):
+    # every predict call that parsing the golden sentences and the pp-gap
+    # pools makes, replayed on a copy of the chart it saw: seated through
+    # join templates and tabled, predict finds what the untabled search
+    # that renames every rule per build finds
+    calls = []
+
+    def recording(grammar, chart, *call):
+        calls.append((grammar, _chart_copy(chart), call))
+        return predict(grammar, chart, *call)
+
+    monkeypatch.setattr(dlgram.coordination, "predict", recording)
+    for grammar, sentence, budget, all_coord in (
+            _golden_cases(request) + _pp_gap_pool_cases()):
+        parse(grammar, sentence, gap_budget=budget, all_solutions=all_coord)
+    monkeypatch.undo()
+    found = [_same_prediction(grammar, chart, *call)
+             for grammar, chart, call in calls]
+    directions = {call[2] for _g, _c, call in calls}
+    assert directions == {LEFTWARD, RIGHTWARD}
+    assert len(found) > 200 and sum(f is not None for f in found) > 70
+    assert sum("gap from" in f for f in found if f) > 60
+
+
+def _prediction_chart(rule_text: str, edge_args: list) -> tuple:
+    """The one-rule grammar of rule_text (head p), a chart to predict p
+    on and a source edge: (grammar, chart, source, width).
+
+    edge_args gives per body item its edge's arguments as term text (one
+    variable namespace for all of them), or None for a nonterminal with
+    no edge, which only a gap can fill; a terminal's entry is ignored.
+    The first `width` positions hold the seating, the edges in body
+    order with no room for the missing items; past a separator word the
+    source spans one correspondent per body nonterminal, for the gaps.
+    """
+    grammar = parse_grammar(rule_text, strict=False)
+    body = grammar.rules[0].body
+    seated = [it for it, text in zip(body, edge_args)
+              if isinstance(it, Terminal) or text is not None]
+    nonterminals = [it for it in body if isinstance(it, NonTerminal)]
+    tokens = [it.token if isinstance(it, Terminal) else "w" for it in seated]
+    chart = assert_input(tokens + ["x"] + ["w"] * len(nonterminals))
+    chart.begin_layer()
+    varmap: dict = {}
+    pos = 0
+    for it, text in zip(body, edge_args):
+        if isinstance(it, NonTerminal) and text is not None:
+            chart.add(it.category, tuple(parse_term(a, varmap) for a in text),
+                      pos, pos + 1, InputWord())
+        pos += isinstance(it, Terminal) or text is not None
+    width = len(seated)
+    kids = [chart.add(it.category, (Const("c"),) * len(it.args),
+                      width + 1 + i, width + 2 + i, InputWord())[0].id
+            for i, it in enumerate(nonterminals)]
+    source = chart.add("src", (), width + 1, width + 1 + len(kids),
+                       Derived(0, tuple(kids)))[0]
+    return grammar, chart, source, width
+
+
+def _predict_both_ways(rule_text: str, edge_args: list, budget: int) -> list:
+    """The derivation texts (or None) of p predicted rightward from 0 and
+    leftward from the end of the seating, each checked against the
+    oracle."""
+    grammar, chart, source, width = _prediction_chart(rule_text, edge_args)
+    return [_same_prediction(grammar, chart, "p", anchor, direction, source,
+                             budget)
+            for anchor, direction in ((0, RIGHTWARD), (width, LEFTWARD))]
+
+
+# found rightward and leftward at gap budget 0, and at gap budget 1: a
+# gap is zero-width, so it can stand in only for the last item in build
+# order, whose edge then need not unify
+@pytest.mark.parametrize("rule_text, edge_args, at_0, at_1", [
+    # compound body arguments, bound both ways
+    ("p(X,Y) --> q(f(X),g(Y,b)), r(Y).", [["A", "g(B,B)"], ["b"]],
+     (True, True), (True, True)),
+    ("p(X,Y) --> q(f(X),g(Y,b)), r(Y).", [["f(h(C))", "g(B,a)"], ["c"]],
+     (False, False), (False, True)),
+    # a variable repeated inside one item
+    ("p(X) --> q(X,X).", [["f(A)", "f(b)"]], (True, True), (True, True)),
+    ("p(X) --> q(X,X).", [["a", "b"]], (False, False), (False, False)),
+    # a variable shared across items: its first occurrence is in a(X)
+    # rightward, and leftward there is none, since f(X) comes first
+    ("p(X) --> a(X), b(f(X)).", [["A"], ["B"]], (True, True), (True, True)),
+    ("p(X) --> a(X), b(f(X)).", [["c"], ["f(c)"]],
+     (True, True), (True, True)),
+    ("p(X) --> a(X), b(f(X)).", [["c"], ["f(d)"]],
+     (False, False), (True, True)),
+    # head-only variables
+    ("p(X,Y,Z) --> q(X).", [["f(A)"]], (True, True), (True, True)),
+    # only the occurs check rejects these
+    ("p(X) --> q(X), r(f(X)).", [["A"], ["A"]], (False, False), (True, True)),
+    ("p(X) --> q(X,f(X)).", [["Y", "Y"]], (False, False), (False, False)),
+    # terminals between nonterminals
+    ("p(X) --> q(X), [t], r(g(X)).", [["a"], None, ["g(a)"]],
+     (True, True), (True, True)),
+])
+def test_predict_template_paths(rule_text, edge_args, at_0, at_1):
+    for budget, expected in ((0, at_0), (1, at_1)):
+        found = _predict_both_ways(rule_text, edge_args, budget)
+        assert tuple(f is not None for f in found) == expected, budget
+
+
+def test_predict_template_fills_a_missing_item_with_a_gap():
+    rule = "p(X,Y) --> q(X), r(Y,X)."
+    assert _predict_both_ways(rule, [["a"], None], 0) == [None, None]
+    for found in _predict_both_ways(rule, [["a"], None], 1):
+        assert found.splitlines()[-1].strip() == "r(V0,V1,1,1)  [gap from e6]"
+
+
+@st.composite
+def _predictions(draw):
+    """A one-rule grammar with head p, its body 1-3 items (terminals
+    among them), and per body item the arguments of its edge, or None
+    for a nonterminal that has none."""
+    body, edges = [], []
+    for i in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 4)) == 0:
+            body.append(f"[t{i}]")
+            edges.append(None)
+            continue
+        arity = draw(st.integers(0, 3))
+        args = draw(st.lists(_RULE_TERMS, min_size=arity, max_size=arity))
+        body.append(f"q{i}({','.join(args)})" if args else f"q{i}")
+        edges.append(None if draw(st.integers(0, 3)) == 0 else draw(
+            st.lists(_EDGE_TERMS, min_size=arity, max_size=arity)))
+    head = draw(st.lists(st.sampled_from(["X", "Y", "W", "f(W,X)", "a"]),
+                         min_size=1, max_size=3))
+    return f"p({','.join(head)}) --> {', '.join(body)}.", edges
+
+
+@given(_predictions(), st.integers(0, 2))
+@settings(max_examples=300, deadline=None)
+def test_predict_equals_renaming_oracle_on_random_rules(prediction, budget):
+    _predict_both_ways(*prediction, budget)
+
+
+@pytest.mark.parametrize("direction, anchor", [(RIGHTWARD, 0), (LEFTWARD, 2)])
+def test_head_only_variables_are_fresh_per_predicted_edge(direction, anchor):
+    # the left-recursive rule is active at several depths of one search
+    # tree, and each edge it builds has a head-only variable of its own
+    g = parse_grammar("a(Y) --> a(W), b.\na(k) --> c.\n"
+                      "b --> [bb].\nc --> [cc].")
+    chart = assert_input(tokenize("bb bb x cc"))
+    close(chart, g)
+    source = next(e for e in chart.edges if e.category == "a")
+    root = predict(g, chart, "a", anchor, direction, source, gap_budget=1)
+    assert (root.start, root.end) == (0, 2)
+    heads = [e.args[0] for e, _depth in derivation_edges(chart, root)
+             if isinstance(e.provenance, Predicted)]
+    assert len(heads) == 2
+    assert all(isinstance(v, Var) and v.name == "Y" for v in heads)
+    assert len(set(heads)) == len(heads)
 
 
 def test_predict_frees_its_table():
