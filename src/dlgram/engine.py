@@ -402,6 +402,62 @@ def _find_correspondent(chart: Chart, source: Edge, category: str) -> Optional[E
     return best
 
 
+# every depth a subgoal of predict can be built at, 0..PREDICT_DEPTH_CAP
+_ALL_DEPTHS = (1 << PREDICT_DEPTH_CAP + 1) - 1
+
+
+class _Entry:
+    """A subgoal of predict's search and what its build found: the
+    (_Trial, budget left) answers, the entries it read one level deeper
+    (None once PREDICT_DEPTH_CAP cut it), and the depths at which the
+    answers are exact, as a bit mask.  An entry that read nothing holds
+    at every depth, one that the cap cut at its own depth only, and any
+    other where every entry it read holds one level deeper."""
+    __slots__ = ("key", "answers", "reads", "depths")
+
+    def __init__(self, key):
+        self.key = key  # (cat, pos, budget)
+        self.answers: list = []
+        self.reads: Optional[dict] = {}  # _Entry -> None, in order read
+        self.depths = _ALL_DEPTHS
+
+
+def _same_answers(xs: list, ys: list) -> bool:
+    """Whether two answer lists are variants under one renaming shared by
+    the whole list.
+
+    The walk pairs the lists node by node, one to one: the same budget
+    left per answer, and per node the same category, span, origin and
+    number of children; chart edges must be the same edge, so their
+    variables map to themselves.  Arguments need no walk of their own: a
+    trial's arguments are fixed by its rule and its children up to the
+    fresh variables its build made, and a gap's by its correspondent up
+    to fresh ones, so nodes paired this way have variant arguments.
+    """
+    if len(xs) != len(ys) or [b for _t, b in xs] != [b for _t, b in ys]:
+        return False
+    pairs = [(x, y) for (x, _b), (y, _c) in zip(xs, ys)]
+    fwd: dict = {}  # id of a node of xs -> its partner in ys
+    bwd: dict = {}  # and back
+    while pairs:
+        x, y = pairs.pop()
+        if isinstance(x, Edge) or isinstance(y, Edge):
+            if x is not y:
+                return False
+            continue
+        if id(x) in fwd or id(y) in bwd:
+            if fwd.get(id(x)) is not y:
+                return False
+            continue
+        if ((x.category, x.start, x.end, x.origin, len(x.children))
+                != (y.category, y.start, y.end, y.origin, len(y.children))):
+            return False
+        fwd[id(x)] = y
+        bwd[id(y)] = x
+        pairs.extend(zip(x.children, y.children))
+    return True
+
+
 def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
             direction: str, source: Edge, gap_budget: int = 1) -> Optional[Edge]:
     """Find or reconstruct a constituent of `category` touching `anchor`
@@ -410,8 +466,9 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     Recursive descent over the grammar rules, seating each body in build
     order: body order rightward, reversed body order leftward.  Each body
     nonterminal is satisfied by an existing chart edge, else by recursive
-    prediction, else, while the gap budget lasts, by a zero-width gap
-    whose arguments are abstracted from the structurally corresponding
+    prediction one level deeper, down to PREDICT_DEPTH_CAP levels below
+    the root, else, while the gap budget lasts, by a zero-width gap whose
+    arguments are abstracted from the structurally corresponding
     constituent inside the source derivation.  Terminals only ever match
     real input.  The first full seating wins; its edges (gaps included)
     are committed to the chart in post-order, children in build order,
@@ -427,30 +484,44 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     unbound a fresh variable of the same name, then builds the head.
 
     Subgoals are tabled within the call.  The chart, source and direction
-    do not change during the search, so what build(cat, pos, budget,
-    depth) yields depends on those four values alone: once a build has
-    run to exhaustion its answers, (_Trial, budget left) pairs, are kept
-    and a later identical subgoal replays them in the same order (an
-    empty list records a failure).  Depth stays in the key, so
-    PREDICT_DEPTH_CAP bounds left recursion as it would without the
-    table.  A subgoal occurs at most once in a winning tree, so replayed
-    trials never share variables within it; alternatives that reuse one
-    trial each unify it under their own persistent substitution.  The
-    correspondent of each gap category is looked up once per call too.
+    do not change during the search, so what a build of (cat, pos,
+    budget) yields at a depth depends on those values and on what the
+    subgoals it reads yield one level deeper.  Once a build has run to
+    exhaustion its answers, (_Trial, budget left) pairs, are kept in an
+    _Entry with the depths at which they are exact, and the subgoal at
+    any of those depths replays them in the same order (an empty list
+    records a failure).  A category that is the first item, in build
+    order, of one of its own rules (Grammar.left_recursive rightward,
+    Grammar.right_recursive leftward) settles the level below first: if
+    every entry that level read is exact one level up too, by its depths
+    or by one _same_answers walk against the entry there, the level's
+    answers are exact here as well and are not built again.  So the
+    search is exactly the capped one, each level computed once until its
+    answers stop changing.  Nodes of a winning tree that share a (cat,
+    pos, budget) lie on one path, each built from the one below, so a
+    trial occurs at most once in the tree and replayed trials never share
+    variables within it; alternatives that reuse one trial each unify it
+    under their own persistent substitution.  The correspondent of each
+    gap category is looked up once per call too.
     """
     # touching(cat, pos): chart edges on the anchored side of pos; far(e):
     # where the next item in build order starts; step: build order;
-    # template(rule): the rule's join template in build order
+    # template(rule): the rule's join template in build order;
+    # recursive: categories first in build order in one of their own rules
     if direction == RIGHTWARD:
         touching, far, step = chart.at_start, attrgetter("end"), 1
         template = attrgetter("join_template")
+        recursive = grammar.left_recursive
     elif direction == LEFTWARD:
         touching, far, step = chart.at_end, attrgetter("start"), -1
         template = attrgetter("reversed_join_template")
+        recursive = grammar.right_recursive
     else:
         raise ValueError(f"unknown direction {direction!r}")
 
-    answers: dict = {}  # (cat, pos, budget, depth) -> [(_Trial, budget left)]
+    table: dict = {}  # (cat, pos, budget) -> [_Entry], oldest first
+    variants: set = set()  # (entry, entry) pairs found to be variants
+    differs: set = set()  # (entry, depth): not exact at that depth
     correspondents: dict = {}  # cat -> Edge or None
 
     def gap(cat: str, pos: int) -> Optional[_Trial]:
@@ -466,7 +537,7 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
             gap_args = tuple(fresh_var("_") for _ in range(grammar.arity(cat)))
         return _Trial(cat, gap_args, pos, pos, Gap(corr.id))
 
-    def options(cat: str, pos: int, budget: int, depth: int):
+    def options(cat: str, pos: int, budget: int, depth: int, reader: _Entry):
         """Yield (child, budget left) for a body nonterminal: existing
         edges, shortest span first with ties broken by content (never by
         edge id), then constituents built from the rules, then a gap."""
@@ -475,22 +546,79 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
         for e in real:
             yield e, budget
         if depth < PREDICT_DEPTH_CAP:
-            key = (cat, pos, budget, depth + 1)
-            done = answers.get(key)
-            if done is not None:
-                yield from done
-            else:
-                found = []
-                for answer in build(cat, pos, budget, depth + 1):
-                    found.append(answer)
-                    yield answer
-                answers[key] = found  # only once build is exhausted
+            yield from served((cat, pos, budget), depth + 1, reader)
+        else:
+            reader.reads = None
+            reader.depths &= 1 << depth
         g = gap(cat, pos) if budget > 0 else None
         if g is not None:
             yield g, budget - 1
 
-    def seat(body: tuple, plan: tuple, depth: int, k: int, pos_k: int,
-             s: dict, budget_k: int, kids: tuple):
+    def lookup(key: tuple, depth: int) -> Optional[_Entry]:
+        """The newest tabled entry of key exact at depth, if any."""
+        return next((e for e in reversed(table.get(key, ()))
+                     if e.depths >> depth & 1), None)
+
+    def served(key: tuple, depth: int, reader: _Entry):
+        """Yield the answers of key at depth, tabled or built, and record
+        in reader the entry that holds them."""
+        e = lookup(key, depth)
+        if e is None and key[0] in recursive and depth < PREDICT_DEPTH_CAP:
+            # settle the level below first: if what it read holds one
+            # level up, this level would read and yield the same
+            below = entry_at(key, depth + 1)
+            if reads_alike(below, depth):
+                e = below
+        if e is None:
+            e = _Entry(key)
+            for answer in build(key, depth, e):
+                e.answers.append(answer)
+                yield answer
+            table.setdefault(key, []).append(e)
+        else:
+            yield from e.answers
+        reader.reads[e] = None
+        reader.depths &= e.depths >> 1
+
+    def entry_at(key: tuple, depth: int) -> _Entry:
+        """The entry that holds key's answers at depth, built if need be."""
+        reader = _Entry(None)
+        for _ in served(key, depth, reader):
+            pass
+        (e,) = reader.reads
+        return e
+
+    def reads_alike(e: _Entry, depth: int) -> bool:
+        """Whether every entry e read holds one level below depth, so that
+        a build at depth would read, and yield, what e's build did; if so
+        depth joins e.depths.  A build at the cap reads nothing."""
+        if (depth < PREDICT_DEPTH_CAP and e.reads
+                and all(holds(r, depth + 1) for r in e.reads)):
+            e.depths |= 1 << depth
+            return True
+        return False
+
+    def holds(e: _Entry, depth: int) -> bool:
+        """Whether e's answers are exact at depth; if so, depth joins
+        e.depths."""
+        if e.depths >> depth & 1:
+            return True
+        if (e, depth) in differs:
+            return False
+        other = lookup(e.key, depth)
+        if other is None or (other, e) not in variants:
+            if reads_alike(e, depth):
+                return True
+            other = entry_at(e.key, depth)
+            if not _same_answers(other.answers, e.answers):
+                differs.add((e, depth))
+                return False
+            variants.add((other, e))
+        other.depths = e.depths = other.depths | e.depths
+        return True
+
+    def seat(body: tuple, plan: tuple, depth: int, reader: _Entry, k: int,
+             pos_k: int, s: dict, budget_k: int, kids: tuple):
         """Yield (substitution, budget left, children, end) for every
         seating of body[k:], the body in build order with plan its join
         template items; end is the position the seating reaches."""
@@ -502,11 +630,12 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
             word = item.word
             for e in touching(D_CATEGORY, pos_k):
                 if e.args[0] == word:
-                    yield from seat(body, plan, depth, k + 1, far(e), s,
-                                    budget_k, kids + (e,))
+                    yield from seat(body, plan, depth, reader, k + 1, far(e),
+                                    s, budget_k, kids + (e,))
             return
         firsts, rest_at, rest = plan[k]
-        for child, budget2 in options(item.category, pos_k, budget_k, depth):
+        for child, budget2 in options(item.category, pos_k, budget_k, depth,
+                                      reader):
             args = child.args
             s2 = s
             if firsts:
@@ -517,22 +646,24 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
                 s2 = unify_all(rest, [args[j] for j in rest_at], s2)
                 if s2 is None:
                     continue
-            yield from seat(body, plan, depth, k + 1, far(child), s2, budget2,
-                            kids + (child,))
+            yield from seat(body, plan, depth, reader, k + 1, far(child), s2,
+                            budget2, kids + (child,))
 
-    def build(cat: str, pos: int, budget: int, depth: int):
+    def build(key: tuple, depth: int, reader: _Entry):
         """Yield (_Trial, budget left) for constituents of cat built from
-        the rules, touching pos, width >= 1."""
+        the rules, touching pos, width >= 1, recording in reader what the
+        build reads."""
         # Not renamed apart: each build starts from EMPTY_SUBST and its
         # trials leave with every rule variable applied or freshened, so a
         # rule active at several depths of one search tree never meets its
         # own variables in a child; gap arguments come from chart edges,
         # which hold no rule variable either.
+        cat, pos, budget = key
         for rule in grammar.rules_for(cat):
             plan, variables = template(rule)
             for s, budget_left, kids, reached in seat(
-                    rule.body[::step], plan, depth, 0, pos, EMPTY_SUBST,
-                    budget, ()):
+                    rule.body[::step], plan, depth, reader, 0, pos,
+                    EMPTY_SUBST, budget, ()):
                 if reached == pos:
                     continue  # an all-gap constituent reconstructs nothing
                 s = s.copy()
@@ -554,14 +685,16 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
         return chart.add(node.category, node.args, node.start, node.end, prov)[0]
 
     try:
-        for root, _budget in build(category, anchor, gap_budget, 0):
+        for root, _budget in build((category, anchor, gap_budget), 0,
+                                   _Entry(None)):
             return commit(root)
         return None
     finally:
-        # seat, build and options refer to each other and commit to itself;
-        # unlinked, they free the table and the chart on return instead of
-        # waiting for the cycle collector
-        seat = build = options = commit = None
+        # these refer to each other and commit to itself; unlinked, they
+        # free the table and the chart on return instead of waiting for
+        # the cycle collector
+        seat = build = options = served = entry_at = reads_alike = None
+        holds = commit = None
 
 
 def format_derivation(chart: Chart, root: Edge) -> str:

@@ -157,6 +157,24 @@ class Grammar:
     def rules_for(self, category: str) -> tuple:
         return self._by_head.get(category, ())
 
+    @cached_property
+    def left_recursive(self) -> frozenset:
+        """Categories that are the first body item of one of their own
+        rules: those whose rightward prediction recurses first."""
+        return self._self_at(0)
+
+    @cached_property
+    def right_recursive(self) -> frozenset:
+        """Categories that are the last body item of one of their own
+        rules: those whose leftward prediction recurses first."""
+        return self._self_at(-1)
+
+    def _self_at(self, k: int) -> frozenset:
+        """Heads whose rule has their own category at body position k."""
+        return frozenset(r.head.category for r in self.rules
+                         if r.body and isinstance(r.body[k], NonTerminal)
+                         and r.body[k].category == r.head.category)
+
     def arity(self, category: str) -> int:
         return self.category_arities.get(category, 0)
 

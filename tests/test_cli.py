@@ -301,6 +301,13 @@ def _untabled_cases():
         for budget in range(4):
             cases.append((str(_grammar_path(grammar)), sentence, budget,
                           "--all-coord" in argv))
+    # leftward prediction over english_sem's right-recursive np, where
+    # predict reuses a level's answers once they stop changing
+    english = str(_grammar_path("english_sem"))
+    for conjuncts in (3, 4):
+        chain = " and ".join(["each table"] * conjuncts)
+        for budget in (1, 2):
+            cases.append((english, f"a apple saw {chain}", budget, True))
     return cases
 
 
@@ -331,6 +338,16 @@ def _console_script_target(name):
             if key.strip() == name:
                 return value.strip().strip('"')
     raise LookupError(f"no console script {name!r} in {pyproject}")
+
+
+def test_runs_as_a_module():
+    # python -m dlgram, from a checkout as from an installed package
+    out = subprocess.run(
+        [sys.executable, "-m", "dlgram", "check", "-g",
+         str(ROOT / "src" / "dlgram" / "grammars" / "english_sem.dlg")],
+        capture_output=True, timeout=120)
+    assert out.returncode == 0
+    assert out.stdout == b"ok\n"
 
 
 def test_console_entry_point_matches_module(english_path):
