@@ -24,8 +24,9 @@ D_CATEGORY = "'D'"
 LEFTWARD = "leftward"
 RIGHTWARD = "rightward"
 
-# recursion limit of predict's rule descent
-PREDICT_DEPTH_CAP = 16
+# most rounds in which predict settles a corner cycle, and so the most
+# levels of a chain through one cycle
+CORNER_CYCLE_ROUNDS = 16
 
 
 class LayerCapError(RuntimeError):
@@ -402,26 +403,6 @@ def _find_correspondent(chart: Chart, source: Edge, category: str) -> Optional[E
     return best
 
 
-# every depth a subgoal of predict can be built at, 0..PREDICT_DEPTH_CAP
-_ALL_DEPTHS = (1 << PREDICT_DEPTH_CAP + 1) - 1
-
-
-class _Entry:
-    """A subgoal of predict's search and what its build found: the
-    (_Trial, budget left) answers, the entries it read one level deeper
-    (None once PREDICT_DEPTH_CAP cut it), and the depths at which the
-    answers are exact, as a bit mask.  An entry that read nothing holds
-    at every depth, one that the cap cut at its own depth only, and any
-    other where every entry it read holds one level deeper."""
-    __slots__ = ("key", "answers", "reads", "depths")
-
-    def __init__(self, key):
-        self.key = key  # (cat, pos, budget)
-        self.answers: list = []
-        self.reads: Optional[dict] = {}  # _Entry -> None, in order read
-        self.depths = _ALL_DEPTHS
-
-
 def _same_answers(xs: list, ys: list) -> bool:
     """Whether two answer lists are variants under one renaming shared by
     the whole list.
@@ -465,15 +446,14 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
 
     Recursive descent over the grammar rules, seating each body in build
     order: body order rightward, reversed body order leftward.  Each body
-    nonterminal is satisfied by an existing chart edge, else by recursive
-    prediction one level deeper, down to PREDICT_DEPTH_CAP levels below
-    the root, else, while the gap budget lasts, by a zero-width gap whose
-    arguments are abstracted from the structurally corresponding
-    constituent inside the source derivation.  Terminals only ever match
-    real input.  The first full seating wins; its edges (gaps included)
-    are committed to the chart in post-order, children in build order,
-    which is the order in which the search created them.  Predicted
-    roots must cover at least one token.
+    nonterminal is satisfied by an existing chart edge, else by a
+    constituent predicted from the rules, else, while the gap budget
+    lasts, by a zero-width gap whose arguments are abstracted from the
+    structurally corresponding constituent inside the source derivation.
+    Terminals only ever match real input.  The first full seating wins;
+    its edges (gaps included) are committed to the chart in post-order,
+    children in build order, which is the order in which the search
+    created them.  Predicted roots must cover at least one token.
 
     Rules are seated through their join templates in build order
     (Rule.join_template rightward, Rule.reversed_join_template
@@ -483,45 +463,46 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     positions.  A completed seating gives every rule variable still
     unbound a fresh variable of the same name, then builds the head.
 
-    Subgoals are tabled within the call.  The chart, source and direction
-    do not change during the search, so what a build of (cat, pos,
-    budget) yields at a depth depends on those values and on what the
-    subgoals it reads yield one level deeper.  Once a build has run to
-    exhaustion its answers, (_Trial, budget left) pairs, are kept in an
-    _Entry with the depths at which they are exact, and the subgoal at
-    any of those depths replays them in the same order (an empty list
-    records a failure).  A category that is the first item, in build
-    order, of one of its own rules (Grammar.left_recursive rightward,
-    Grammar.right_recursive leftward) settles the level below first: if
-    every entry that level read is exact one level up too, by its depths
-    or by one _same_answers walk against the entry there, the level's
-    answers are exact here as well and are not built again.  So the
-    search is exactly the capped one, each level computed once until its
-    answers stop changing.  Nodes of a winning tree that share a (cat,
-    pos, budget) lie on one path, each built from the one below, so a
-    trial occurs at most once in the tree and replayed trials never share
-    variables within it; alternatives that reuse one trial each unify it
-    under their own persistent substitution.  The correspondent of each
-    gap category is looked up once per call too.
+    Subgoals (cat, pos, budget) are tabled within the call, as in OLDT
+    resolution.  The chart, source and direction do not change during
+    the search, so a subgoal's answers, (_Trial, budget left) pairs,
+    depend on the subgoal alone, and are replayed in the order found (an
+    empty list records a failure).  Every body item after the first in
+    build order starts past a token or a gap, so a descent can meet its
+    own subgoal again only through a corner cycle: categories that reach
+    themselves through first items in build order
+    (Grammar.left_corner_cycles rightward, Grammar.right_corner_cycles
+    leftward).  Any other subgoal is built once, lazily.  A subgoal on a
+    corner cycle is settled before it is served: every member of the
+    cycle at the same pos and budget is rebuilt in rounds, each reading
+    the members' answers of the round before (none in the first), until
+    _same_answers finds that no member changed or after
+    CORNER_CYCLE_ROUNDS rounds.  Round r builds chains of at most r
+    levels through the cycle, so a chain longer than the bound is not
+    found, and a cycle that never converges, such as a unit cycle, stops
+    at the bound.  Nodes of a winning tree that share a subgoal lie on
+    one path, each built from the one below, so a trial occurs at most
+    once in the tree and replayed trials never share variables within
+    it; alternatives that reuse one trial each unify it under their own
+    persistent substitution.  The correspondent of each gap category is
+    looked up once per call too.
     """
     # touching(cat, pos): chart edges on the anchored side of pos; far(e):
     # where the next item in build order starts; step: build order;
     # template(rule): the rule's join template in build order;
-    # recursive: categories first in build order in one of their own rules
+    # cycles: the corner cycles of build order
     if direction == RIGHTWARD:
         touching, far, step = chart.at_start, attrgetter("end"), 1
         template = attrgetter("join_template")
-        recursive = grammar.left_recursive
+        cycles = grammar.left_corner_cycles
     elif direction == LEFTWARD:
         touching, far, step = chart.at_end, attrgetter("start"), -1
         template = attrgetter("reversed_join_template")
-        recursive = grammar.right_recursive
+        cycles = grammar.right_corner_cycles
     else:
         raise ValueError(f"unknown direction {direction!r}")
 
-    table: dict = {}  # (cat, pos, budget) -> [_Entry], oldest first
-    variants: set = set()  # (entry, entry) pairs found to be variants
-    differs: set = set()  # (entry, depth): not exact at that depth
+    table: dict = {}  # (cat, pos, budget) -> [(_Trial, budget left)]
     correspondents: dict = {}  # cat -> Edge or None
 
     def gap(cat: str, pos: int) -> Optional[_Trial]:
@@ -537,7 +518,7 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
             gap_args = tuple(fresh_var("_") for _ in range(grammar.arity(cat)))
         return _Trial(cat, gap_args, pos, pos, Gap(corr.id))
 
-    def options(cat: str, pos: int, budget: int, depth: int, reader: _Entry):
+    def options(cat: str, pos: int, budget: int):
         """Yield (child, budget left) for a body nonterminal: existing
         edges, shortest span first with ties broken by content (never by
         edge id), then constituents built from the rules, then a gap."""
@@ -545,80 +526,42 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
         real.sort(key=lambda e: (e.end - e.start, e.args_text))
         for e in real:
             yield e, budget
-        if depth < PREDICT_DEPTH_CAP:
-            yield from served((cat, pos, budget), depth + 1, reader)
-        else:
-            reader.reads = None
-            reader.depths &= 1 << depth
+        yield from served((cat, pos, budget))
         g = gap(cat, pos) if budget > 0 else None
         if g is not None:
             yield g, budget - 1
 
-    def lookup(key: tuple, depth: int) -> Optional[_Entry]:
-        """The newest tabled entry of key exact at depth, if any."""
-        return next((e for e in reversed(table.get(key, ()))
-                     if e.depths >> depth & 1), None)
+    def served(key: tuple):
+        """Yield the answers of key: tabled, else settled with its corner
+        cycle, else built and tabled once the build is exhausted."""
+        answers = table.get(key)
+        if answers is None and key[0] in cycles:
+            settle(key)
+            answers = table[key]
+        if answers is not None:
+            yield from answers
+            return
+        answers = []
+        for answer in build(key):
+            answers.append(answer)
+            yield answer
+        table[key] = answers
 
-    def served(key: tuple, depth: int, reader: _Entry):
-        """Yield the answers of key at depth, tabled or built, and record
-        in reader the entry that holds them."""
-        e = lookup(key, depth)
-        if e is None and key[0] in recursive and depth < PREDICT_DEPTH_CAP:
-            # settle the level below first: if what it read holds one
-            # level up, this level would read and yield the same
-            below = entry_at(key, depth + 1)
-            if reads_alike(below, depth):
-                e = below
-        if e is None:
-            e = _Entry(key)
-            for answer in build(key, depth, e):
-                e.answers.append(answer)
-                yield answer
-            table.setdefault(key, []).append(e)
-        else:
-            yield from e.answers
-        reader.reads[e] = None
-        reader.depths &= e.depths >> 1
+    def settle(key: tuple):
+        """Table every member of key's corner cycle at key's pos and
+        budget, rebuilt in rounds until no member's answers change."""
+        cat, pos, budget = key
+        keys = [(member, pos, budget) for member in cycles[cat]]
+        table.update((k, []) for k in keys)
+        for _ in range(CORNER_CYCLE_ROUNDS):
+            # every build of a round reads the table of the round before
+            rebuilt = [list(build(k)) for k in keys]
+            if all(map(_same_answers, rebuilt, map(table.get, keys))):
+                return
+            table.update(zip(keys, rebuilt))
 
-    def entry_at(key: tuple, depth: int) -> _Entry:
-        """The entry that holds key's answers at depth, built if need be."""
-        reader = _Entry(None)
-        for _ in served(key, depth, reader):
-            pass
-        (e,) = reader.reads
-        return e
-
-    def reads_alike(e: _Entry, depth: int) -> bool:
-        """Whether every entry e read holds one level below depth, so that
-        a build at depth would read, and yield, what e's build did; if so
-        depth joins e.depths.  A build at the cap reads nothing."""
-        if (depth < PREDICT_DEPTH_CAP and e.reads
-                and all(holds(r, depth + 1) for r in e.reads)):
-            e.depths |= 1 << depth
-            return True
-        return False
-
-    def holds(e: _Entry, depth: int) -> bool:
-        """Whether e's answers are exact at depth; if so, depth joins
-        e.depths."""
-        if e.depths >> depth & 1:
-            return True
-        if (e, depth) in differs:
-            return False
-        other = lookup(e.key, depth)
-        if other is None or (other, e) not in variants:
-            if reads_alike(e, depth):
-                return True
-            other = entry_at(e.key, depth)
-            if not _same_answers(other.answers, e.answers):
-                differs.add((e, depth))
-                return False
-            variants.add((other, e))
-        other.depths = e.depths = other.depths | e.depths
-        return True
-
-    def seat(body: tuple, plan: tuple, depth: int, reader: _Entry, k: int,
-             pos_k: int, s: dict, budget_k: int, kids: tuple):
+    def seat(body: tuple, plan: tuple, k: int, pos_k: int, s: dict,
+             budget_k: int, kids: tuple):
         """Yield (substitution, budget left, children, end) for every
         seating of body[k:], the body in build order with plan its join
         template items; end is the position the seating reaches."""
@@ -630,12 +573,11 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
             word = item.word
             for e in touching(D_CATEGORY, pos_k):
                 if e.args[0] == word:
-                    yield from seat(body, plan, depth, reader, k + 1, far(e),
-                                    s, budget_k, kids + (e,))
+                    yield from seat(body, plan, k + 1, far(e), s, budget_k,
+                                    kids + (e,))
             return
         firsts, rest_at, rest = plan[k]
-        for child, budget2 in options(item.category, pos_k, budget_k, depth,
-                                      reader):
+        for child, budget2 in options(item.category, pos_k, budget_k):
             args = child.args
             s2 = s
             if firsts:
@@ -646,24 +588,22 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
                 s2 = unify_all(rest, [args[j] for j in rest_at], s2)
                 if s2 is None:
                     continue
-            yield from seat(body, plan, depth, reader, k + 1, far(child), s2,
-                            budget2, kids + (child,))
+            yield from seat(body, plan, k + 1, far(child), s2, budget2,
+                            kids + (child,))
 
-    def build(key: tuple, depth: int, reader: _Entry):
+    def build(key: tuple):
         """Yield (_Trial, budget left) for constituents of cat built from
-        the rules, touching pos, width >= 1, recording in reader what the
-        build reads."""
+        the rules, touching pos, width >= 1."""
         # Not renamed apart: each build starts from EMPTY_SUBST and its
         # trials leave with every rule variable applied or freshened, so a
-        # rule active at several depths of one search tree never meets its
+        # rule active at several levels of one search tree never meets its
         # own variables in a child; gap arguments come from chart edges,
         # which hold no rule variable either.
         cat, pos, budget = key
         for rule in grammar.rules_for(cat):
             plan, variables = template(rule)
             for s, budget_left, kids, reached in seat(
-                    rule.body[::step], plan, depth, reader, 0, pos,
-                    EMPTY_SUBST, budget, ()):
+                    rule.body[::step], plan, 0, pos, EMPTY_SUBST, budget, ()):
                 if reached == pos:
                     continue  # an all-gap constituent reconstructs nothing
                 s = s.copy()
@@ -685,16 +625,14 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
         return chart.add(node.category, node.args, node.start, node.end, prov)[0]
 
     try:
-        for root, _budget in build((category, anchor, gap_budget), 0,
-                                   _Entry(None)):
+        for root, _budget in build((category, anchor, gap_budget)):
             return commit(root)
         return None
     finally:
         # these refer to each other and commit to itself; unlinked, they
         # free the table and the chart on return instead of waiting for
         # the cycle collector
-        seat = build = options = served = entry_at = reads_alike = None
-        holds = commit = None
+        seat = build = options = served = settle = commit = None
 
 
 def format_derivation(chart: Chart, root: Edge) -> str:

@@ -158,25 +158,45 @@ class Grammar:
         return self._by_head.get(category, ())
 
     @cached_property
-    def left_recursive(self) -> frozenset:
-        """Categories that are the first body item of one of their own
-        rules: those whose rightward prediction recurses first."""
-        return self._self_at(0)
+    def left_corner_cycles(self) -> dict:
+        """Each category that reaches itself through first body items,
+        mapped to the members of its cycle: where rightward prediction
+        can meet its own subgoal again."""
+        return _cycles((r.head.category, r.body[0].category)
+                       for r in self.rules
+                       if isinstance(r.body[0], NonTerminal))
 
     @cached_property
-    def right_recursive(self) -> frozenset:
-        """Categories that are the last body item of one of their own
-        rules: those whose leftward prediction recurses first."""
-        return self._self_at(-1)
-
-    def _self_at(self, k: int) -> frozenset:
-        """Heads whose rule has their own category at body position k."""
-        return frozenset(r.head.category for r in self.rules
-                         if r.body and isinstance(r.body[k], NonTerminal)
-                         and r.body[k].category == r.head.category)
+    def right_corner_cycles(self) -> dict:
+        """Each category that reaches itself through last body items,
+        mapped to the members of its cycle: where leftward prediction can
+        meet its own subgoal again."""
+        return _cycles((r.head.category, r.body[-1].category)
+                       for r in self.rules
+                       if isinstance(r.body[-1], NonTerminal))
 
     def arity(self, category: str) -> int:
         return self.category_arities.get(category, 0)
+
+
+def _cycles(links) -> dict:
+    """Each category that reaches itself along the (from, to) category
+    links, mapped to the members of its cycle, sorted."""
+    graph: dict = {}
+    for a, b in links:
+        graph.setdefault(a, set()).add(b)
+    reach: dict = {}
+    for a in graph:
+        seen: set = set()
+        todo = [a]
+        while todo:
+            for b in graph.get(todo.pop(), ()):
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        reach[a] = seen
+    return {a: tuple(sorted(b for b in seen if a in reach.get(b, ())))
+            for a, seen in reach.items() if a in seen}
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +486,11 @@ def validate(g: Grammar) -> list:
                 f"conjunction {_item_text(r.head)} must name a constant "
                 f"connective", r.line))
 
-    for r in g.rules:
-        if (len(r.body) == 1 and isinstance(r.body[0], NonTerminal)
-                and r.body[0].category == r.head.category):
+    units = [r for r in g.rules
+             if len(r.body) == 1 and isinstance(r.body[0], NonTerminal)]
+    unit_cycles = _cycles((r.head.category, r.body[0].category) for r in units)
+    for r in units:
+        if r.body[0].category in unit_cycles.get(r.head.category, ()):
             diags.append(Diagnostic(
                 "warning", f"unit cycle on {r.head.category}", r.line))
 

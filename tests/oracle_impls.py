@@ -7,8 +7,9 @@ semi-naive join it is checking.
 
 untabled_predict is engine.predict as it was before its subgoals were
 tabled and before it seated rules through their join templates: every
-subgoal is searched afresh each time it comes up, and every build
-renames its rule apart and unifies each body item in full.
+subgoal is searched afresh each time it comes up, down to
+UNTABLED_DEPTH_CAP rule levels, and every build renames its rule apart
+and unifies each body item in full.
 
 renaming_instantiate, which naive_parse uses, is engine._instantiate as
 it was before rules were compiled into join templates: the rule is
@@ -26,9 +27,9 @@ from operator import attrgetter
 from pathlib import Path
 
 from dlgram.coordination import CoordinationState
-from dlgram.engine import (D_CATEGORY, LEFTWARD, PREDICT_DEPTH_CAP,
-                           RIGHTWARD, Derived, Edge, Gap, Lexical, Predicted,
-                           _find_correspondent, _Trial, assert_input)
+from dlgram.engine import (D_CATEGORY, LEFTWARD, RIGHTWARD, Derived, Edge,
+                           Gap, Lexical, Predicted, _find_correspondent,
+                           _Trial, assert_input)
 from dlgram.grammar import NonTerminal, Terminal
 from dlgram.terms import (EMPTY_SUBST, Compound, Const, Var, abstract_over,
                           apply, canonical_text, fresh_var, rename_fresh_all,
@@ -185,6 +186,10 @@ def naive_parse(grammar, tokens, meta_coordination=True):
 # ---------------------------------------------------------------------------
 # Untabled prediction: the search engine.predict tables, done the slow way.
 
+# untabled_predict descends at most this many rule levels below its root:
+# what ends its left recursion rightward and right recursion leftward
+UNTABLED_DEPTH_CAP = 16
+
 def untabled_predict(grammar, chart, category, anchor, direction, source,
                      gap_budget=1):
     """engine.predict without its answer table or correspondent cache,
@@ -213,7 +218,7 @@ def untabled_predict(grammar, chart, category, anchor, direction, source,
         real.sort(key=lambda e: (e.end - e.start, canonical_text(e.args)))
         for e in real:
             yield e, budget
-        if depth < PREDICT_DEPTH_CAP:
+        if depth < UNTABLED_DEPTH_CAP:
             yield from build(cat, pos, budget, depth + 1)
         g = gap(cat, pos) if budget > 0 else None
         if g is not None:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import random
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dlgram.coordination
+import oracle_impls
 from dlgram import parse
 from dlgram.engine import (D_CATEGORY, Chart, Derived, InputWord, LEFTWARD,
                            LayerCapError, Predicted, RIGHTWARD, _instantiate,
@@ -460,7 +462,8 @@ def test_predict_tables_its_subgoals(budget, monkeypatch):
     # searched afresh every time, this sentence made 12,626 such calls at
     # budget 2 and 18,853 at budget 3; tabled within each predict call
     # one depth at a time, 492 and 309; with answers shared across the
-    # depths where they are exact, 61 and 46
+    # depths where they were exact, 61 and 46; tabled without depth, each
+    # subgoal built once and each corner cycle once per round, 42 and 28
     grammar = load_grammar(PP_GAP)
     calls = []
     rules_for = Grammar.rules_for
@@ -472,7 +475,7 @@ def test_predict_tables_its_subgoals(budget, monkeypatch):
     monkeypatch.setattr(Grammar, "rules_for", counted)
     run = parse(grammar, PP_GAP_SENT, gap_budget=budget)
     assert len(run.results) == 1
-    assert len(calls) <= {2: 61, 3: 46}[budget] + 5
+    assert len(calls) <= {2: 42, 3: 28}[budget] + 5
 
 
 def test_predict_table_keys_the_budget():
@@ -493,6 +496,22 @@ def test_predict_table_keys_the_budget():
     assert found[0].splitlines()[-1].strip() == "c(5,5)  [gap from e8]"
 
 
+def _chain_prediction(rules: str, direction: str, words: list, length: int,
+                      source: str = "c1"):
+    """Predict c1 from the rules and c0 --> [v] on the input first,
+    `length` middles, last (words), next to the middles, with the first
+    edge of the source category that closure finds as source; predict
+    and untabled_predict agree.  Returns the derivation text or None."""
+    grammar = parse_grammar(f"c0 --> [v].\n{rules}")
+    first, middle, last = words
+    chart = assert_input([first] + [middle] * length + [last])
+    close(chart, grammar)
+    source = next(e for e in chart.edges if e.category == source)
+    anchor = 1 if direction == RIGHTWARD else length + 1
+    return _same_prediction(grammar, chart, "c1", anchor, direction, source,
+                            1)
+
+
 @pytest.mark.parametrize("direction, rules, words", [
     (RIGHTWARD, "c0 --> c0, [u].\nc1 --> c0, [w].", ["v", "u", "w"]),
     (LEFTWARD, "c0 --> [u], c0.\nc1 --> [w], c0.", ["w", "u", "v"])])
@@ -500,21 +519,78 @@ def test_predict_table_keys_the_budget():
 def test_predict_chain_reaches_the_depth_cap(direction, rules, words,
                                              length):
     # c1 needs a c0 over all the u's, which exists only as a chain of
-    # `length` recursive c0 nodes around a gap, one level deeper each:
-    # found down to PREDICT_DEPTH_CAP = 16 levels and not below, however
-    # the levels share their answers
-    grammar = parse_grammar(f"c0 --> [v].\n{rules}")
-    first, middle, last = words
-    chart = assert_input([first] + [middle] * length + [last])
-    close(chart, grammar)
-    source = next(e for e in chart.edges if e.category == "c1")
-    anchor = 1 if direction == RIGHTWARD else length + 1
-    found = _same_prediction(grammar, chart, "c1", anchor, direction, source,
-                             1)
+    # `length` recursive c0 nodes around a gap: the corner cycle of c0
+    # settles in at most CORNER_CYCLE_ROUNDS = 16 rounds, one level each,
+    # so the chain is found down to 16 levels and not below, as
+    # untabled_predict finds it within its own depth cap of 16
+    found = _chain_prediction(rules, direction, words, length)
     assert (found is not None) == (length <= 16)
     if found:
         assert found.count("gap from") == 1
         assert found.count("c0(") == length + 1
+
+
+@pytest.mark.parametrize("direction, rules, words", [
+    (RIGHTWARD, "c0 --> c2, [u].\nc2 --> c0, [u].\nc1 --> c0, [w].",
+     ["v", "u", "w"]),
+    (LEFTWARD, "c0 --> [u], c2.\nc2 --> [u], c0.\nc1 --> [w], c0.",
+     ["w", "u", "v"])])
+@pytest.mark.parametrize("length", [16, 18])
+@pytest.mark.parametrize("source", ["c1", "c0"])
+def test_predict_chain_of_two_categories_reaches_the_round_bound(
+        direction, rules, words, length, source):
+    # the chain alternates c0 and c2 (an even length, since closure builds
+    # c1 over a c0 only); each round of the cycle reads the answers of the
+    # round before, not those rebuilt earlier in the same round, so round
+    # r still holds chains of at most r levels.  With the lexical c0 as
+    # source only c0 can be a gap, so c2's answers stop changing after
+    # the first round while c0's still change: settling goes on while
+    # any member changes
+    found = _chain_prediction(rules, direction, words, length, source)
+    assert (found is not None) == (length <= 16)
+    if found:
+        assert found.count("gap from") == 1
+        assert found.count("c0(") + found.count("c2(") == length + 1
+
+
+@pytest.mark.parametrize("direction, rules, words", [
+    (RIGHTWARD, "c0 --> [u], c0.\nc1 --> [w], c0.", ["v", "w"] + ["u"] * 17),
+    (LEFTWARD, "c0 --> c0, [u].\nc1 --> c0, [w].", ["u"] * 17 + ["w", "v"])])
+def test_predict_descends_as_deep_as_the_input(direction, rules, words,
+                                               monkeypatch):
+    # a rule that spends a token before it recurses is on no corner cycle:
+    # its descent ends with the input, not at CORNER_CYCLE_ROUNDS levels,
+    # so c1 covers all 17 u's, with a gap for the c0 past them, as the
+    # untabled search finds once its own cap is deep enough
+    monkeypatch.setattr(oracle_impls, "UNTABLED_DEPTH_CAP", 24)
+    grammar = parse_grammar(f"c0 --> [v].\n{rules}")
+    chart = assert_input(words)
+    close(chart, grammar)
+    source = next(e for e in chart.edges if e.category == "c0")
+    anchor = 1 if direction == RIGHTWARD else 18
+    found = _same_prediction(grammar, chart, "c1", anchor, direction, source,
+                             1)
+    assert found.split()[0] == ("c1(1,19)" if direction == RIGHTWARD
+                                else "c1(0,18)")
+    assert found.count("gap from") == 1
+
+
+@pytest.mark.parametrize("rules", ["a --> a.", "a --> b.\nb --> a."])
+@pytest.mark.parametrize("budget", [0, 1])
+def test_predict_returns_on_unit_cycles(rules, budget):
+    # a unit cycle gains one answer per round and never converges, so
+    # settling it runs all CORNER_CYCLE_ROUNDS rounds (s ending at 1 or
+    # starting at 2 settles the a's touching x); predict still returns,
+    # and agrees with untabled_predict
+    grammar = parse_grammar(f"{rules}\na --> [x].\ns --> a, [y], a.")
+    chart = assert_input(["x", "y", "x"])
+    close(chart, grammar)
+    source = next(e for e in chart.edges if e.category == "s")
+    found = [_same_prediction(grammar, chart, r.head.category, anchor,
+                              direction, source, budget)
+             for r in grammar.rules for anchor in range(4)
+             for direction in (RIGHTWARD, LEFTWARD)]
+    assert None in found and any(found)
 
 
 def _chart_copy(chart: Chart) -> Chart:
@@ -857,14 +933,20 @@ def test_random_grammars_match_naive_and_ignore_rule_order(grammar, sentences,
 @st.composite
 def _recursive_grammars(draw):
     """A grammar in _small_grammars' style in which 1-3 categories have a
-    rule with their own category as the first or the last item of its
-    two-item body, so that prediction meets left and right recursion down
-    to the depth cap.  Every other nonterminal in a body comes later in
-    category order than the head, and no category has two such rules: so
-    the only recursion is direct, and the untabled search does not take
-    time exponential in the cap."""
+    corner rule: a two-item body whose first or last item is the head's
+    own category or another of its group, so that prediction meets
+    corner cycles of 1-3 categories, in both directions.  Groups are
+    runs of categories in category order.  The other item of a corner
+    rule, and every item of the other rules, is of a later group.  So
+    every cycle lies in one group and runs through corner rules only, no
+    category has two rules whose first or last item is on its cycle, and
+    the untabled search takes time linear, not exponential, in its cap."""
     cats = [f"c{i}" for i in range(draw(st.integers(2, 3)))]
     arity = {c: draw(st.integers(0, 2)) for c in cats}
+    # a new group starts at a 1, one time in three
+    steps = draw(st.lists(st.sampled_from([0, 0, 1]),
+                          min_size=len(cats) - 1, max_size=len(cats) - 1))
+    group = dict(zip(cats, itertools.accumulate([0] + steps)))
 
     def item(c):
         if c is None:
@@ -874,13 +956,19 @@ def _recursive_grammars(draw):
         return f"{c}({','.join(args)})" if args else c
 
     def later(c):
-        return st.sampled_from(cats[cats.index(c) + 1:] + [None])
+        return st.sampled_from([d for d in cats if group[d] > group[c]]
+                               + [None])
 
     rules = [f"{item(c)} --> {item(None)}." for c in cats]
+    # the corner rules of a group all recurse on their first item, or all
+    # on their last, so that the group's cycles run in one direction
+    last = {g: draw(st.booleans()) for g in group.values()}
     for head in draw(st.lists(st.sampled_from(cats), min_size=1,
                               unique=True)):
-        body = [head, draw(later(head))]
-        if draw(st.booleans()):
+        body = [draw(st.sampled_from([c for c in cats
+                                      if group[c] == group[head]])),
+                draw(later(head))]
+        if last[group[head]]:
             body.reverse()
         rules.append(f"{item(head)} --> {', '.join(map(item, body))}.")
     for _ in range(draw(st.integers(0, 2))):
@@ -896,10 +984,11 @@ def _recursive_grammars(draw):
 @settings(max_examples=300, deadline=None)
 def test_predict_equals_untabled_on_recursive_grammars(grammar, tokens,
                                                        budget, data):
-    # where a recursive subgoal's answers stop changing above the depth
-    # cap, predict reuses them at the depths above instead of rebuilding
-    # them; the untabled search rebuilds every level and must agree, for
-    # every category, anchor and direction
+    # predict builds each subgoal once and settles each corner cycle in
+    # rounds, until no member's answers change or for at most
+    # CORNER_CYCLE_ROUNDS rounds; the untabled search rebuilds every
+    # subgoal at every level down to its own depth cap, and must agree,
+    # for every category, anchor and direction
     chart = assert_input(tokens)
     close(chart, grammar)
     source = data.draw(st.sampled_from(chart.edges))

@@ -55,6 +55,13 @@ def test_unit_cycle_is_warning_not_error():
     diags = validate(g)
     assert any(d.severity == "warning" and "unit cycle" in d.message for d in diags)
     assert not any(d.severity == "error" for d in diags)
+    # a cycle through other categories' one-item bodies warns once per
+    # category on it, not for the unit rule off the cycle
+    g = parse_grammar("a --> b.\nb --> a.\nb --> c.\na --> [x].\n"
+                      "c --> [y].\nb --> a.")
+    diags = validate(g)
+    assert [str(d) for d in diags] == ["warning: unit cycle on a (line 1)",
+                                       "warning: unit cycle on b (line 2)"]
 
 
 def test_undefined_category():
