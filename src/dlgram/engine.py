@@ -252,7 +252,21 @@ def _seats(item, e: Edge) -> bool:
     return not e.is_zero_width
 
 
-def match_rule(rule: Rule, delta: set, chart: Chart) -> list:
+def _by_seat_key(edges) -> dict:
+    """The edges that can seat a body item, listed under the item's
+    grammar.seat_key: an input edge under its word, any other edge under
+    its category, a zero-width edge under none (see _seats)."""
+    index: dict = {}
+    for e in edges:
+        if e.category == D_CATEGORY:
+            index.setdefault(e.args[0], []).append(e)
+        elif e.start != e.end:
+            index.setdefault(e.category, []).append(e)
+    return index
+
+
+def match_rule(rule: Rule, delta: set, chart: Chart,
+               seeds: Optional[dict] = None) -> list:
     """A _Trial for every contiguous seating of the rule body on chart
     edges that uses at least one delta edge and under which the rule's
     argument unifications, threaded through, succeed.
@@ -260,19 +274,20 @@ def match_rule(rule: Rule, delta: set, chart: Chart) -> list:
     Each seating grows from its leftmost delta edge: every delta edge is
     seated at each body position it fits, the items to its left are
     filled leftward with edges outside delta (so no seating is found
-    twice) and the items to its right rightward with any edge.  The
-    seatings are instantiated in (start, child ids) order, the order of
-    a depth-first scan over every start position, since each positional
+    twice) and the items to its right rightward with any edge.  The delta
+    edges that fit a position are looked up, not scanned for: seeds lists
+    them by seat key, as _by_seat_key(delta's edges) does, and is built
+    here when not given (close builds it once per round).  The seatings
+    are instantiated in (start, child ids) order, the order of a
+    depth-first scan over every start position, since each positional
     index lists its edges in id order.
     """
+    if seeds is None:
+        seeds = _by_seat_key(chart.edges[i] for i in delta)
     body = rule.body
-    fresh = [chart.edges[i] for i in delta]
     seatings = []
-    for j, item in enumerate(body):
-        category = _indexed(item)
-        for d in fresh:
-            if d.category != category or not _seats(item, d):
-                continue
+    for j, key in enumerate(rule.seat_keys):
+        for d in seeds.get(key, ()):
             partial = [[d]]
             for left in reversed(body[:j]):
                 partial = [[e] + p for p in partial
@@ -336,18 +351,24 @@ def close(chart: Chart, grammar: Grammar,
     Every round joins the rules over the chart as it stands, seeding each
     seating from an edge of the newest layer (see match_rule), and only
     then opens a layer and adds the round's derivations, in rule order.
-    On a fresh chart the newest layer is the input; on a closed chart it
-    has been joined already, so closing again adds nothing.  After each
-    layer the hook may inject further edges into that layer.
+    The round indexes the newest layer by seat key (_by_seat_key) and
+    joins only the rules with a body item of one of its keys
+    (Grammar.rules_seating), in grammar order; no other rule can seat a
+    new edge.  On a fresh chart the newest layer is the input; on a
+    closed chart it has been joined already, so closing again adds
+    nothing.  After each layer the hook may inject further edges into
+    that layer.
     """
     while True:
         if chart.current_layer >= layer_cap:
             raise LayerCapError(
                 f"closure exceeded the layer cap ({layer_cap}); "
                 f"the grammar is probably growing without bound")
-        delta = set(chart.layers[-1])
-        found = [(rule, t) for rule in grammar.rules
-                 for t in match_rule(rule, delta, chart)]
+        newest = chart.layers[-1]
+        delta = set(newest)
+        seeds = _by_seat_key(chart.edges[i] for i in newest)
+        found = [(rule, t) for rule in grammar.rules_seating(seeds)
+                 for t in match_rule(rule, delta, chart, seeds)]
         chart.begin_layer()
         for rule, t in found:
             prov = (Lexical(t.origin) if rule.is_lexical

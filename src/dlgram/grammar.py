@@ -43,6 +43,15 @@ class NonTerminal:
 RuleItem = Union[Terminal, NonTerminal]
 
 
+def seat_key(item: RuleItem):
+    """The key under which closure looks up the newest edges that can
+    seat a body item: a terminal's token as its input edge's argument (a
+    Const), a nonterminal's category (a str).  A Const never equals a
+    str, so a token that spells a category name never meets that
+    category's key."""
+    return item.word if isinstance(item, Terminal) else item.category
+
+
 @dataclass(frozen=True)
 class Rule:
     id: int
@@ -74,6 +83,11 @@ class Rule:
         leftward prediction seats it: items run from the last body item
         to the first, and a first occurrence is first in that order."""
         return _join_template(self.body[::-1], self.head)
+
+    @cached_property
+    def seat_keys(self) -> tuple:
+        """The seat_key of each body item, in body order."""
+        return tuple(map(seat_key, self.body))
 
 
 def _join_template(body: tuple, head: NonTerminal) -> tuple:
@@ -156,6 +170,26 @@ class Grammar:
 
     def rules_for(self, category: str) -> tuple:
         return self._by_head.get(category, ())
+
+    @cached_property
+    def _rules_by_seat_key(self) -> dict:
+        """seat key -> positions in rules of the rules with a body item
+        of that key, ascending."""
+        index: dict = {}
+        for i, r in enumerate(self.rules):
+            for key in dict.fromkeys(r.seat_keys):
+                index.setdefault(key, []).append(i)
+        return index
+
+    def rules_seating(self, keys) -> list:
+        """The rules with a body item whose seat key is among keys, in
+        grammar order: the only rules closure joins in a round whose
+        newest edges have these keys."""
+        by_key = self._rules_by_seat_key
+        found: set = set()
+        for key in keys:
+            found.update(by_key.get(key, ()))
+        return [self.rules[i] for i in sorted(found)]
 
     @cached_property
     def left_corner_cycles(self) -> dict:

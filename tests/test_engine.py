@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 import dlgram.coordination
 import oracle_impls
 from dlgram import parse
-from dlgram.engine import (D_CATEGORY, Chart, Derived, InputWord, LEFTWARD,
-                           LayerCapError, Predicted, RIGHTWARD, _instantiate,
-                           _Trial, assert_input, close, derivation_edges,
+from dlgram.engine import (D_CATEGORY, Chart, Derived, Gap, InputWord,
+                           LEFTWARD, LayerCapError, Predicted, RIGHTWARD,
+                           _by_seat_key, _instantiate, _same_answers, _Trial,
+                           assert_input, close, derivation_edges,
                            format_derivation, match_rule, predict, tokenize)
 from dlgram.grammar import (Grammar, NonTerminal, Terminal, load_grammar,
                             parse_grammar, parse_term)
 from dlgram.terms import Const, Var, canonical_text, is_variant
-from oracle_impls import (_brute_seatings, edge_key_set, naive_parse,
-                          pp_gap_pool, renaming_instantiate, untabled_predict,
-                          var_ids)
+from oracle_impls import (_brute_seatings, _naive_rounds, edge_key_set,
+                          naive_parse, pp_gap_pool, renaming_instantiate,
+                          untabled_predict, var_ids)
 
 FRENCH_SENT = "jean mange une pomme rouge et une verte"
 WOODS_SENT = "john drove the car through and demolished a window"
@@ -254,6 +255,79 @@ def test_match_rule_equals_brute_seatings(which, sentence, request):
                     canonical_text(t.args))
                    for t in match_rule(rule, delta, chart)]
             assert got == want, (rule.id, sorted(delta))
+
+
+@pytest.mark.parametrize("which, sentence, bound", [
+    ("english", WOODS_SENT, 24), ("english", "each man ate an apple and a pear",
+                                  24),
+    ("french", FRENCH_SENT, 13)])
+def test_close_joins_only_rules_the_newest_layer_can_seat(which, sentence,
+                                                          bound, request,
+                                                          monkeypatch):
+    # joining every rule in every round, closure made 210, 245 and 55
+    # match_rule calls on these sentences; joining only the rules with a
+    # body item whose seat key some newest edge has, 24, 24 and 13
+    grammar = request.getfixturevalue(which)
+    calls = []
+    counted_rule = match_rule
+
+    def counted(rule, delta, chart, seeds=None):
+        calls.append(rule.id)
+        return counted_rule(rule, delta, chart, seeds)
+
+    monkeypatch.setattr(dlgram.engine, "match_rule", counted)
+    run = parse(grammar, sentence)
+    assert run.results
+    assert len(calls) <= bound + 3
+
+
+def _layered(chart):
+    """A chart's edges with their layers and provenances, in id order."""
+    return [(repr(e), e.layer, e.provenance) for e in chart.edges]
+
+
+# tokens that spell category names, a terminal no input holds, and a
+# category g that the gap below stands in for
+_SEAT_KEY_GRAMMAR = parse_grammar(
+    "s --> np, [np].\nnp --> [np].\nnp --> [x].\nvp --> [s], np.\n"
+    "t --> s, [absent].\nu --> np, g.\ng --> [y].\nw --> g, [s].\n")
+
+
+@pytest.mark.parametrize("tokens", [
+    ["np"], ["np", "np"], ["x", "np", "s", "np"], ["s", "x", "np", "y"],
+    ["np", "s", "np", "np"]])
+def test_seat_keys_of_tokens_and_categories_stay_apart(tokens):
+    # a token spelling a category seats only a terminal, and a category
+    # only a nonterminal: layer by layer, closure finds what the naive
+    # evaluator finds
+    grammar = _SEAT_KEY_GRAMMAR
+    want = naive_parse(grammar, tokens, meta_coordination=False)
+    got = parse(grammar, " ".join(tokens), meta_coordination=False).chart
+    assert _layered(got) == _layered(want)
+
+
+@pytest.mark.parametrize("gap_layer", [1, 2])
+def test_gap_in_the_newest_layer_seats_nothing(gap_layer):
+    # a zero-width g sits in the newest layer, next to the input words or
+    # alone after closure; u --> np, g and w --> g, [s] must not seat it
+    grammar = _SEAT_KEY_GRAMMAR
+    charts = []
+    for run in (close, _naive_rounds):
+        chart = assert_input(["np", "s"])
+        if gap_layer == 2:
+            close(chart, grammar)
+            chart.begin_layer()
+        gap = chart.add("g", (), 1, 1, Gap(0))[0]
+        assert gap.layer == len(chart.layers)
+        run(chart, grammar, None)
+        charts.append(chart)
+    chart = charts[0]
+    assert _layered(chart) == _layered(charts[1])
+    assert not any(e.category in ("u", "w") for e in chart.edges)
+    gap = next(e for e in chart.edges if e.is_gap)
+    assert _by_seat_key([gap]) == {}
+    assert all(match_rule(rule, {gap.id}, chart) == []
+               for rule in grammar.rules)
 
 
 def _same_instantiation(rule, chosen):
@@ -494,6 +568,19 @@ def test_predict_table_keys_the_budget():
         found.append(format_derivation(chart, e))
     assert found[0] == found[1]
     assert found[0].splitlines()[-1].strip() == "c(5,5)  [gap from e8]"
+
+
+def test_same_answers_tells_rule_ids_apart():
+    # two answer lists alike in every node but the rule id of one child:
+    # built by different rules, they are different answers
+    chart = assert_input(["v", "w"])
+
+    def answers(rule_id):
+        child = _Trial("c", (), 0, 1, rule_id, (chart.edges[0],))
+        return [(_Trial("s", (), 0, 2, 0, (child, chart.edges[1])), 1)]
+
+    assert _same_answers(answers(1), answers(1))
+    assert not _same_answers(answers(1), answers(2))
 
 
 def _chain_prediction(rules: str, direction: str, words: list, length: int,
