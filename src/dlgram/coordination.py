@@ -38,13 +38,14 @@ class CoordConstraint:
     resolutions: list = field(default_factory=list)  # (source, target, combined) ids
 
 
-def post(chart: Chart, grammar: Grammar, state: "CoordinationState") -> list:
+def post(chart: Chart, state: "CoordinationState") -> list:
     """One new constraint per conjunction edge added since the last post.
     The connective is the conj edge's single argument, a constant (the
     grammar's validation guarantees both)."""
+    conj_category = state.grammar.conj_category
     new = []
     for e in chart.edges[state.posted_upto:]:
-        if e.category != grammar.conj_category:
+        if e.category != conj_category:
             continue
         conn = e.args[0].name
         c = CoordConstraint(
@@ -52,27 +53,22 @@ def post(chart: Chart, grammar: Grammar, state: "CoordinationState") -> list:
             conj_edge_id=e.id, n=e.start, m=e.end, connective=conn)
         state.constraints.append(c)
         new.append(c)
-        state.log_line(f"C{c.id}: posted {grammar.conj_category}({conn},{c.n},{c.m})")
+        state.log_line(f"C{c.id}: posted {conj_category}({conn},{c.n},{c.m})")
     state.posted_upto = len(chart.edges)
     return new
 
 
-def refresh_agenda(c: CoordConstraint, chart: Chart) -> CoordConstraint:
+def refresh_agenda(c: CoordConstraint, chart: Chart):
     """Rebuild the candidate agenda from the chart.
 
     Left-complete candidates (ending at N) come first, shortest span
     first, then right-complete ones (starting at M), again shortest span
-    first.  Word facts, conjunction edges, and zero-width edges are
-    never candidates.
+    first.  Word facts and conjunction edges are never candidates, and
+    gaps are not found by position at all (see Chart).
     """
-    conj_category = chart.edges[c.conj_edge_id].category
-
-    def usable(e: Edge) -> bool:
-        return (e.category not in (D_CATEGORY, conj_category)
-                and not e.is_zero_width)
-
-    left = [e for e in chart.ending_at(c.n) if usable(e)]
-    right = [e for e in chart.starting_at(c.m) if usable(e)]
+    skipped = (D_CATEGORY, chart.edges[c.conj_edge_id].category)
+    left = [e for e in chart.ending_at(c.n) if e.category not in skipped]
+    right = [e for e in chart.starting_at(c.m) if e.category not in skipped]
     # span-length ordering; ties broken by content so that evaluation
     # order does not depend on edge ids.  With one end fixed, the keys
     # are the chart's dedup keys, so the order is total.
@@ -80,12 +76,10 @@ def refresh_agenda(c: CoordConstraint, chart: Chart) -> CoordConstraint:
     right.sort(key=lambda e: (e.end, e.category, e.args_text))
     c.agenda = ([(LEFT_COMPLETE, e) for e in left]
                 + [(RIGHT_COMPLETE, e) for e in right])
-    return c
 
 
-def combine(left: Edge, right: Edge, conn: str, grammar: Grammar,
-            chart: Chart, constraint_id: int,
-            source_id: int, target_id: int) -> Edge:
+def combine(left: Edge, right: Edge, conn: str, chart: Chart,
+            constraint_id: int, source_id: int, target_id: int) -> Edge:
     """Edge for the whole coordination: same category, combined span,
     arguments c-unified pairwise under one threaded substitution."""
     if left.category != right.category or len(left.args) != len(right.args):
@@ -103,7 +97,7 @@ def combine(left: Edge, right: Edge, conn: str, grammar: Grammar,
     return edge
 
 
-def attempt(c: CoordConstraint, chart: Chart, grammar: Grammar,
+def attempt(c: CoordConstraint, chart: Chart,
             state: "CoordinationState") -> Optional[Edge]:
     """Try untried candidates in agenda order.
 
@@ -122,7 +116,7 @@ def attempt(c: CoordConstraint, chart: Chart, grammar: Grammar,
             anchor, direction = c.m, RIGHTWARD
         else:
             anchor, direction = c.n, LEFTWARD
-        predicted = predict(grammar, chart, source.category, anchor,
+        predicted = predict(state.grammar, chart, source.category, anchor,
                             direction, source, state.gap_budget)
         if predicted is None:
             state.log_line(
@@ -133,8 +127,8 @@ def attempt(c: CoordConstraint, chart: Chart, grammar: Grammar,
             f"-> predicted {_spanned(predicted)}")
         # the conjunction lies between the two conjuncts
         left, right = sorted((source, predicted), key=attrgetter("start"))
-        combined = combine(left, right, c.connective, grammar, chart,
-                           c.id, source.id, predicted.id)
+        combined = combine(left, right, c.connective, chart, c.id,
+                           source.id, predicted.id)
         c.resolutions.append((source.id, predicted.id, combined.id))
         c.status = "resolved"
         state.log_line(
@@ -175,14 +169,14 @@ class CoordinationState:
     def after_layer(self, chart: Chart):
         """Closure hook: post constraints for new conjunctions, then give
         every live constraint a chance to resolve."""
-        post(chart, self.grammar, self)
+        post(chart, self)
         revival = self._revival_pending
         self._revival_pending = False
         for c in self.constraints:
             if c.status == "resolved" and self.first_solution and not revival:
                 continue
             refresh_agenda(c, chart)
-            attempt(c, chart, self.grammar, self)
+            attempt(c, chart, self)
 
     def revive(self):
         """Give every constraint one more attempt round (used when closure

@@ -130,9 +130,26 @@ class Edge:
         return f"{self.category}({inner}{self.start},{self.end})"
 
 
+def _seat_key(e: Edge):
+    """The grammar.seat_key of the body items e can seat: an input edge's
+    word (a Const), any other edge's category.  None for a zero-width
+    edge, a gap, which seats no body item."""
+    if e.is_zero_width:
+        return None
+    return e.args[0] if e.category == D_CATEGORY else e.category
+
+
 class Chart:
     """Append-only, variant-deduplicated edge store with positional
-    indexes and per-layer deltas.  Confined to a single parse."""
+    indexes and per-layer deltas.  Confined to a single parse.
+
+    The chart decides what can seat a body item: add files each edge
+    under its _seat_key, so at_start and at_end, given an item's
+    grammar.seat_key, return exactly the edges that can seat it.  A gap
+    is in edges and its layer but in no index: it is never found by
+    position, only through the provenance that committed it.  Indexes
+    list edges in id order; the accessors return the stored lists.
+    """
 
     def __init__(self, tokens: Sequence[str]):
         self.tokens = list(tokens)
@@ -141,10 +158,10 @@ class Chart:
         self.layers: list = []
         self.trace: Optional[Callable[[str], None]] = None
         self._dedup: dict = {}
-        self._by_start: dict = {}  # (category, start) -> edge ids
-        self._by_end: dict = {}  # (category, end) -> edge ids
-        self._from: dict = {}  # start -> edge ids
-        self._to: dict = {}  # end -> edge ids
+        self._by_start: dict = {}  # (seat key, start) -> edges
+        self._by_end: dict = {}  # (seat key, end) -> edges
+        self._from: dict = {}  # start -> edges
+        self._to: dict = {}  # end -> edges
 
     @property
     def current_layer(self) -> int:
@@ -175,26 +192,28 @@ class Chart:
                  self.current_layer, provenance)
         self.edges.append(e)
         self._dedup[key] = e.id
-        self._by_start.setdefault((category, start), []).append(e.id)
-        self._by_end.setdefault((category, end), []).append(e.id)
-        self._from.setdefault(start, []).append(e.id)
-        self._to.setdefault(end, []).append(e.id)
+        seat = _seat_key(e)
+        if seat is not None:
+            self._by_start.setdefault((seat, start), []).append(e)
+            self._by_end.setdefault((seat, end), []).append(e)
+            self._from.setdefault(start, []).append(e)
+            self._to.setdefault(end, []).append(e)
         self.layers[-1].append(e.id)
         if self.trace:
             self.trace(f"T{e.layer}: {e!r}  [{provenance.text()}]")
         return e, True
 
-    def at_start(self, category: str, start: int) -> list:
-        return [self.edges[i] for i in self._by_start.get((category, start), ())]
+    def at_start(self, seat_key, start: int) -> Sequence[Edge]:
+        return self._by_start.get((seat_key, start), ())
 
-    def at_end(self, category: str, end: int) -> list:
-        return [self.edges[i] for i in self._by_end.get((category, end), ())]
+    def at_end(self, seat_key, end: int) -> Sequence[Edge]:
+        return self._by_end.get((seat_key, end), ())
 
-    def ending_at(self, end: int) -> list:
-        return [self.edges[i] for i in self._to.get(end, ())]
+    def ending_at(self, end: int) -> Sequence[Edge]:
+        return self._to.get(end, ())
 
-    def starting_at(self, start: int) -> list:
-        return [self.edges[i] for i in self._from.get(start, ())]
+    def starting_at(self, start: int) -> Sequence[Edge]:
+        return self._from.get(start, ())
 
     def layer_edges(self, k: int) -> list:
         return [self.edges[i] for i in self.layers[k - 1]]
@@ -237,31 +256,14 @@ class _Trial:
     children: tuple = ()  # Edge or _Trial, in build order
 
 
-def _indexed(item) -> str:
-    """The category under which the chart indexes the edges of a body
-    item: 'D' for a terminal, its own for a nonterminal."""
-    return D_CATEGORY if isinstance(item, Terminal) else item.category
-
-
-def _seats(item, e: Edge) -> bool:
-    """Whether e, an edge of the item's indexed category, can seat the
-    item.  Zero-width gap edges never participate in ordinary rule
-    matching."""
-    if isinstance(item, Terminal):
-        return e.args[0] == item.word
-    return not e.is_zero_width
-
-
 def _by_seat_key(edges) -> dict:
-    """The edges that can seat a body item, listed under the item's
-    grammar.seat_key: an input edge under its word, any other edge under
-    its category, a zero-width edge under none (see _seats)."""
+    """The edges that can seat a body item, listed under their seat keys
+    (_seat_key) in the order given; gaps are left out."""
     index: dict = {}
     for e in edges:
-        if e.category == D_CATEGORY:
-            index.setdefault(e.args[0], []).append(e)
-        elif e.start != e.end:
-            index.setdefault(e.category, []).append(e)
+        key = _seat_key(e)
+        if key is not None:
+            index.setdefault(key, []).append(e)
     return index
 
 
@@ -274,29 +276,29 @@ def match_rule(rule: Rule, delta: set, chart: Chart,
     Each seating grows from its leftmost delta edge: every delta edge is
     seated at each body position it fits, the items to its left are
     filled leftward with edges outside delta (so no seating is found
-    twice) and the items to its right rightward with any edge.  The delta
-    edges that fit a position are looked up, not scanned for: seeds lists
-    them by seat key, as _by_seat_key(delta's edges) does, and is built
-    here when not given (close builds it once per round).  The seatings
-    are instantiated in (start, child ids) order, the order of a
-    depth-first scan over every start position, since each positional
-    index lists its edges in id order.
+    twice) and the items to its right rightward with any edge.  The chart
+    decides which edges fit an item, looked up by its seat key
+    (Rule.seat_keys); seeds lists the delta edges the same way, as
+    _by_seat_key(delta's edges) does, and is built here when not given
+    (close builds it once per round).  The seatings are instantiated in
+    (start, child ids) order, the order of a depth-first scan over every
+    start position, since each positional index lists its edges in id
+    order.
     """
     if seeds is None:
         seeds = _by_seat_key(chart.edges[i] for i in delta)
-    body = rule.body
+    keys = rule.seat_keys
     seatings = []
-    for j, key in enumerate(rule.seat_keys):
+    for j, key in enumerate(keys):
         for d in seeds.get(key, ()):
             partial = [[d]]
-            for left in reversed(body[:j]):
+            for left in reversed(keys[:j]):
                 partial = [[e] + p for p in partial
-                           for e in chart.at_end(_indexed(left), p[0].start)
-                           if e.id not in delta and _seats(left, e)]
-            for right in body[j + 1:]:
+                           for e in chart.at_end(left, p[0].start)
+                           if e.id not in delta]
+            for right in keys[j + 1:]:
                 partial = [p + [e] for p in partial
-                           for e in chart.at_start(_indexed(right), p[-1].end)
-                           if _seats(right, e)]
+                           for e in chart.at_start(right, p[-1].end)]
             seatings.extend(partial)
     seatings.sort(key=lambda chosen: (chosen[0].start, [e.id for e in chosen]))
     out = []
@@ -351,8 +353,9 @@ def close(chart: Chart, grammar: Grammar,
     Every round joins the rules over the chart as it stands, seeding each
     seating from an edge of the newest layer (see match_rule), and only
     then opens a layer and adds the round's derivations, in rule order.
-    The round indexes the newest layer by seat key (_by_seat_key) and
-    joins only the rules with a body item of one of its keys
+    The round groups the newest layer by seat key, the key under which
+    the chart files each edge (_by_seat_key, gaps left out), and joins
+    only the rules with a body item of one of its keys
     (Grammar.rules_seating), in grammar order; no other rule can seat a
     new edge.  On a fresh chart the newest layer is the input; on a
     closed chart it has been joined already, so closing again adds
@@ -471,7 +474,10 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     constituent predicted from the rules, else, while the gap budget
     lasts, by a zero-width gap whose arguments are abstracted from the
     structurally corresponding constituent inside the source derivation.
-    Terminals only ever match real input.  The first full seating wins;
+    Terminals only ever match real input.  The chart decides what can
+    seat a body item: an item's options are the edges the chart files
+    under its seat key at pos, and gaps, which the chart files under
+    none, are never among them.  The first full seating wins;
     its edges (gaps included) are committed to the chart in post-order,
     children in build order, which is the order in which the search
     created them.  Predicted roots must cover at least one token.
@@ -543,9 +549,8 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
         """Yield (child, budget left) for a body nonterminal: existing
         edges, shortest span first with ties broken by content (never by
         edge id), then constituents built from the rules, then a gap."""
-        real = [e for e in touching(cat, pos) if not e.is_zero_width]
-        real.sort(key=lambda e: (e.end - e.start, e.args_text))
-        for e in real:
+        for e in sorted(touching(cat, pos),
+                        key=lambda e: (e.end - e.start, e.args_text)):
             yield e, budget
         yield from served((cat, pos, budget))
         g = gap(cat, pos) if budget > 0 else None
@@ -591,11 +596,9 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
             return
         item = body[k]
         if isinstance(item, Terminal):
-            word = item.word
-            for e in touching(D_CATEGORY, pos_k):
-                if e.args[0] == word:
-                    yield from seat(body, plan, k + 1, far(e), s, budget_k,
-                                    kids + (e,))
+            for e in touching(item.word, pos_k):
+                yield from seat(body, plan, k + 1, far(e), s, budget_k,
+                                kids + (e,))
             return
         firsts, rest_at, rest = plan[k]
         for child, budget2 in options(item.category, pos_k, budget_k):
@@ -685,8 +688,7 @@ def logical_form_of(edge: Edge) -> Term:
 
 def full_parses(chart: Chart, grammar: Grammar) -> list:
     """Start-category edges spanning the whole input, in chart order."""
-    return [e for e in chart.at_start(grammar.start, 0)
-            if e.end == chart.n and not e.is_zero_width]
+    return [e for e in chart.at_start(grammar.start, 0) if e.end == chart.n]
 
 
 def extract(chart: Chart, grammar: Grammar) -> list:

@@ -44,11 +44,10 @@ RuleItem = Union[Terminal, NonTerminal]
 
 
 def seat_key(item: RuleItem):
-    """The key under which closure looks up the newest edges that can
-    seat a body item: a terminal's token as its input edge's argument (a
-    Const), a nonterminal's category (a str).  A Const never equals a
-    str, so a token that spells a category name never meets that
-    category's key."""
+    """The key under which the chart files the edges that can seat a
+    body item: a terminal's token as its input edge's argument (a Const),
+    a nonterminal's category (a str).  A Const never equals a str, so a
+    token that spells a category name never meets that category's key."""
     return item.word if isinstance(item, Terminal) else item.category
 
 
@@ -59,7 +58,7 @@ class Rule:
     body: tuple
     line: int = 0
 
-    @property
+    @cached_property
     def is_lexical(self) -> bool:
         return all(isinstance(it, Terminal) for it in self.body)
 

@@ -235,10 +235,9 @@ def untabled_predict(grammar, chart, category, anchor, direction, source,
                     return
                 item, args = items[k]
                 if isinstance(item, Terminal):
-                    for e in touching(D_CATEGORY, pos_k):
-                        if e.args[0] == Const(item.token):
-                            yield from seat(k + 1, far(e), s, budget_k,
-                                            kids + (e,))
+                    for e in touching(Const(item.token), pos_k):
+                        yield from seat(k + 1, far(e), s, budget_k,
+                                        kids + (e,))
                     return
                 for child, budget2 in options(item.category, pos_k, budget_k,
                                               depth):

@@ -41,8 +41,8 @@ def test_post_is_idempotent_per_conj_edge(french):
     chart = close(assert_input(tokenize(FRENCH_SENT)), french)
     state = CoordinationState(french)
     chart.begin_layer()
-    first = post(chart, french, state)
-    second = post(chart, french, state)
+    first = post(chart, state)
+    second = post(chart, state)
     chart.drop_layer_if_empty()
     assert len(first) == 1 and second == []
 
@@ -53,7 +53,7 @@ def test_agenda_french_after_lexicon(french):
     chart = close(assert_input(tokenize(FRENCH_SENT)), french)
     state = CoordinationState(french)
     chart.begin_layer()
-    (c,) = post(chart, french, state)
+    (c,) = post(chart, state)
     refresh_agenda(c, chart)
     described = [(side, e.category) for side, e in c.agenda]
     # adjective left of the conjunction, then the determiner to its right;
@@ -83,13 +83,13 @@ def test_attempt_skips_tried_candidates(french):
     chart = close(assert_input(tokenize(FRENCH_SENT)), french)
     state = CoordinationState(french)
     chart.begin_layer()
-    (c,) = post(chart, french, state)
+    (c,) = post(chart, state)
     refresh_agenda(c, chart)
     side, first = c.agenda[0]
     c.tried.add((side, first.id))
     refresh_agenda(c, chart)
     assert c.agenda[0] == (side, first)
-    attempt(c, chart, french, state)
+    attempt(c, chart, state)
     tries = [ln for ln in state.log if ": try" in ln]
     assert tries
     assert not any(f"try {side} {first.category}({first.start},{first.end})"
@@ -144,7 +144,7 @@ def test_combine_argument_free(french):
     chart = run.chart
     left = edge_at(chart, "np", 2, 5)
     right = edge_at(chart, "np", 6, 8)
-    e = combine(left, right, "and", french, chart, 99, left.id, right.id)
+    e = combine(left, right, "and", chart, 99, left.id, right.id)
     assert (e.category, e.start, e.end) == ("np", 2, 8)
     assert e.args == ()
 
@@ -154,7 +154,7 @@ def test_combine_identical_args_is_identity(english):
     chart = run.chart
     vp = edge_at(chart, "vp", 1, 2)
     chart.begin_layer()
-    e = combine(vp, vp, "and", english, chart, 99, vp.id, vp.id)
+    e = combine(vp, vp, "and", chart, 99, vp.id, vp.id)
     chart.drop_layer_if_empty()
     assert is_variant(canonical_text(e.args), canonical_text(vp.args)) or \
         canonical_text(e.args) == canonical_text(vp.args)

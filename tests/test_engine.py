@@ -299,11 +299,18 @@ _SEAT_KEY_GRAMMAR = parse_grammar(
 def test_seat_keys_of_tokens_and_categories_stay_apart(tokens):
     # a token spelling a category seats only a terminal, and a category
     # only a nonterminal: layer by layer, closure finds what the naive
-    # evaluator finds
+    # evaluator finds, and the chart files the word np and the category
+    # np under keys that never meet
     grammar = _SEAT_KEY_GRAMMAR
     want = naive_parse(grammar, tokens, meta_coordination=False)
     got = parse(grammar, " ".join(tokens), meta_coordination=False).chart
     assert _layered(got) == _layered(want)
+    for i, token in enumerate(tokens):
+        words = [repr(e) for e in got.at_start(Const("np"), i)]
+        assert words == ([f"'D'(np,{i},{i + 1})"] if token == "np" else [])
+        nps = [e for e in got.edges if e.category == "np" and e.start == i]
+        assert list(got.at_start("np", i)) == nps
+        assert nps or token != "np"
 
 
 @pytest.mark.parametrize("gap_layer", [1, 2])
@@ -325,7 +332,16 @@ def test_gap_in_the_newest_layer_seats_nothing(gap_layer):
     assert _layered(chart) == _layered(charts[1])
     assert not any(e.category in ("u", "w") for e in chart.edges)
     gap = next(e for e in chart.edges if e.is_gap)
+    assert gap.id in chart.layers[gap.layer - 1]
     assert _by_seat_key([gap]) == {}
+    # no key and no position finds the gap; only its id reaches it
+    keys = {"g", D_CATEGORY} | {e.category for e in chart.edges} \
+        | {Const(t) for t in chart.tokens}
+    for pos in range(chart.n + 1):
+        found = [*chart.starting_at(pos), *chart.ending_at(pos)]
+        for key in keys:
+            found += [*chart.at_start(key, pos), *chart.at_end(key, pos)]
+        assert gap not in found
     assert all(match_rule(rule, {gap.id}, chart) == []
                for rule in grammar.rules)
 
