@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Optional
 
-from .engine import (Chart, Coordinated, D_CATEGORY, Edge, LEFTWARD,
-                     RIGHTWARD, predict)
+from .engine import Chart, Coordinated, Edge, LEFTWARD, RIGHTWARD, predict
 from .grammar import Grammar
 from .terms import EMPTY_SUBST, apply, c_unify
 
@@ -58,17 +57,18 @@ def post(chart: Chart, state: "CoordinationState") -> list:
     return new
 
 
-def refresh_agenda(c: CoordConstraint, chart: Chart):
+def refresh_agenda(c: CoordConstraint, chart: Chart,
+                   state: "CoordinationState"):
     """Rebuild the candidate agenda from the chart.
 
     Left-complete candidates (ending at N) come first, shortest span
     first, then right-complete ones (starting at M), again shortest span
-    first.  Word facts and conjunction edges are never candidates, and
-    gaps are not found by position at all (see Chart).
+    first.  Candidates are looked up under state.candidate_categories,
+    so word facts, conjunction edges and gaps (see Chart) are never found.
     """
-    skipped = (D_CATEGORY, chart.edges[c.conj_edge_id].category)
-    left = [e for e in chart.ending_at(c.n) if e.category not in skipped]
-    right = [e for e in chart.starting_at(c.m) if e.category not in skipped]
+    cats = state.candidate_categories
+    left = [e for cat in cats for e in chart.at_end(cat, c.n)]
+    right = [e for cat in cats for e in chart.at_start(cat, c.m)]
     # span-length ordering; ties broken by content so that evaluation
     # order does not depend on edge ids.  With one end fixed, the keys
     # are the chart's dedup keys, so the order is total.
@@ -156,6 +156,9 @@ class CoordinationState:
         self.first_solution = first_solution
         self.gap_budget = gap_budget
         self.trace = trace
+        # every rule head but the conjunction: the categories of candidates
+        self.candidate_categories = ({r.head.category for r in grammar.rules}
+                                     - {grammar.conj_category})
         self.constraints: list = []
         self.posted_upto = 0  # chart edges below this id have been posted
         self.log: list = []
@@ -175,7 +178,7 @@ class CoordinationState:
         for c in self.constraints:
             if c.status == "resolved" and self.first_solution and not revival:
                 continue
-            refresh_agenda(c, chart)
+            refresh_agenda(c, chart, self)
             attempt(c, chart, self)
 
     def revive(self):

@@ -160,8 +160,6 @@ class Chart:
         self._dedup: dict = {}
         self._by_start: dict = {}  # (seat key, start) -> edges
         self._by_end: dict = {}  # (seat key, end) -> edges
-        self._from: dict = {}  # start -> edges
-        self._to: dict = {}  # end -> edges
 
     @property
     def current_layer(self) -> int:
@@ -196,8 +194,6 @@ class Chart:
         if seat is not None:
             self._by_start.setdefault((seat, start), []).append(e)
             self._by_end.setdefault((seat, end), []).append(e)
-            self._from.setdefault(start, []).append(e)
-            self._to.setdefault(end, []).append(e)
         self.layers[-1].append(e.id)
         if self.trace:
             self.trace(f"T{e.layer}: {e!r}  [{provenance.text()}]")
@@ -208,12 +204,6 @@ class Chart:
 
     def at_end(self, seat_key, end: int) -> Sequence[Edge]:
         return self._by_end.get((seat_key, end), ())
-
-    def ending_at(self, end: int) -> Sequence[Edge]:
-        return self._to.get(end, ())
-
-    def starting_at(self, start: int) -> Sequence[Edge]:
-        return self._from.get(start, ())
 
     def layer_edges(self, k: int) -> list:
         return [self.edges[i] for i in self.layers[k - 1]]
@@ -463,6 +453,17 @@ def _same_answers(xs: list, ys: list) -> bool:
     return True
 
 
+def _distinct(answers) -> list:
+    """The first (_Trial, budget left) of each variant, in the order given:
+    answers alike in span, budget left and canonical_text(args) seat
+    alike, so a later one leads only to trees the first leads to sooner."""
+    kept: dict = {}
+    for trial, left in answers:
+        kept.setdefault((trial.start, trial.end, left,
+                         canonical_text(trial.args)), (trial, left))
+    return list(kept.values())
+
+
 def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
             direction: str, source: Edge, gap_budget: int = 1) -> Optional[Edge]:
     """Find or reconstruct a constituent of `category` touching `anchor`
@@ -493,26 +494,28 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     Subgoals (cat, pos, budget) are tabled within the call, as in OLDT
     resolution.  The chart, source and direction do not change during
     the search, so a subgoal's answers, (_Trial, budget left) pairs,
-    depend on the subgoal alone, and are replayed in the order found (an
-    empty list records a failure).  Every body item after the first in
-    build order starts past a token or a gap, so a descent can meet its
-    own subgoal again only through a corner cycle: categories that reach
-    themselves through first items in build order
-    (Grammar.left_corner_cycles rightward, Grammar.right_corner_cycles
-    leftward).  Any other subgoal is built once, lazily.  A subgoal on a
-    corner cycle is settled before it is served: every member of the
+    depend on the subgoal alone.  A subgoal is tabled whole before it is
+    served, one answer per variant (_distinct), and its answers are
+    replayed in the order found (an empty list records a failure).
+    Every body item after the first in build order starts past a token
+    or a gap, so a descent can meet its own subgoal again only through a
+    corner cycle: categories that reach themselves through first items
+    in build order (Grammar.left_corner_cycles rightward,
+    Grammar.right_corner_cycles leftward).  Any other subgoal is built
+    once.  A subgoal on a corner cycle is settled: every member of the
     cycle at the same pos and budget is rebuilt in rounds, each reading
     the members' answers of the round before (none in the first), until
     _same_answers finds that no member changed or after
     CORNER_CYCLE_ROUNDS rounds.  Round r builds chains of at most r
     levels through the cycle, so a chain longer than the bound is not
-    found, and a cycle that never converges, such as a unit cycle, stops
-    at the bound.  Nodes of a winning tree that share a subgoal lie on
-    one path, each built from the one below, so a trial occurs at most
-    once in the tree and replayed trials never share variables within
-    it; alternatives that reuse one trial each unify it under their own
-    persistent substitution.  The correspondent of each gap category is
-    looked up once per call too.
+    found, and a unit cycle whose first answer is built through the
+    cycle, one level deeper each round, stops at the bound.  Nodes of a
+    winning tree that share a subgoal lie on one path, each built from
+    the one below, so a trial occurs at most once in the tree and
+    replayed trials never share variables within it; alternatives that
+    reuse one trial each unify it under their own persistent
+    substitution.  The correspondent of each gap category is looked up
+    once per call too.
     """
     # touching(cat, pos): chart edges on the anchored side of pos; far(e):
     # where the next item in build order starts; step: build order;
@@ -557,21 +560,15 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
         if g is not None:
             yield g, budget - 1
 
-    def served(key: tuple):
-        """Yield the answers of key: tabled, else settled with its corner
-        cycle, else built and tabled once the build is exhausted."""
-        answers = table.get(key)
-        if answers is None and key[0] in cycles:
-            settle(key)
-            answers = table[key]
-        if answers is not None:
-            yield from answers
-            return
-        answers = []
-        for answer in build(key):
-            answers.append(answer)
-            yield answer
-        table[key] = answers
+    def served(key: tuple) -> list:
+        """The distinct answers of key, tabled whole before they are
+        served: settled with its corner cycle, or else built once."""
+        if key not in table:
+            if key[0] in cycles:
+                settle(key)
+            else:
+                table[key] = _distinct(build(key))
+        return table[key]
 
     def settle(key: tuple):
         """Table every member of key's corner cycle at key's pos and
@@ -581,7 +578,7 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
         table.update((k, []) for k in keys)
         for _ in range(CORNER_CYCLE_ROUNDS):
             # every build of a round reads the table of the round before
-            rebuilt = [list(build(k)) for k in keys]
+            rebuilt = [_distinct(build(k)) for k in keys]
             if all(map(_same_answers, rebuilt, map(table.get, keys))):
                 return
             table.update(zip(keys, rebuilt))

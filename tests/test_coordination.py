@@ -54,7 +54,7 @@ def test_agenda_french_after_lexicon(french):
     state = CoordinationState(french)
     chart.begin_layer()
     (c,) = post(chart, state)
-    refresh_agenda(c, chart)
+    refresh_agenda(c, chart, state)
     described = [(side, e.category) for side, e in c.agenda]
     # adjective left of the conjunction, then the determiner to its right;
     # word facts and the conjunction itself never become candidates
@@ -84,10 +84,10 @@ def test_attempt_skips_tried_candidates(french):
     state = CoordinationState(french)
     chart.begin_layer()
     (c,) = post(chart, state)
-    refresh_agenda(c, chart)
+    refresh_agenda(c, chart, state)
     side, first = c.agenda[0]
     c.tried.add((side, first.id))
-    refresh_agenda(c, chart)
+    refresh_agenda(c, chart, state)
     assert c.agenda[0] == (side, first)
     attempt(c, chart, state)
     tries = [ln for ln in state.log if ": try" in ln]

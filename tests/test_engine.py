@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dlgram.coordination
+import dlgram.engine
 import oracle_impls
 from dlgram import parse
-from dlgram.engine import (D_CATEGORY, Chart, Derived, Gap, InputWord,
-                           LEFTWARD, LayerCapError, Predicted, RIGHTWARD,
-                           _by_seat_key, _instantiate, _same_answers, _Trial,
-                           assert_input, close, derivation_edges,
-                           format_derivation, match_rule, predict, tokenize)
+from dlgram.engine import (CORNER_CYCLE_ROUNDS, D_CATEGORY, Chart, Derived,
+                           Gap, InputWord, LEFTWARD, LayerCapError, Predicted,
+                           RIGHTWARD, _by_seat_key, _instantiate,
+                           _same_answers, _Trial, assert_input, close,
+                           derivation_edges, format_derivation, match_rule,
+                           predict, tokenize)
 from dlgram.grammar import (Grammar, NonTerminal, Terminal, load_grammar,
                             parse_grammar, parse_term)
 from dlgram.terms import Const, Var, canonical_text, is_variant
@@ -338,7 +340,7 @@ def test_gap_in_the_newest_layer_seats_nothing(gap_layer):
     keys = {"g", D_CATEGORY} | {e.category for e in chart.edges} \
         | {Const(t) for t in chart.tokens}
     for pos in range(chart.n + 1):
-        found = [*chart.starting_at(pos), *chart.ending_at(pos)]
+        found = []
         for key in keys:
             found += [*chart.at_start(key, pos), *chart.at_end(key, pos)]
         assert gap not in found
@@ -568,6 +570,36 @@ def test_predict_tables_its_subgoals(budget, monkeypatch):
     assert len(calls) <= {2: 42, 3: 28}[budget] + 5
 
 
+@pytest.fixture
+def compared(monkeypatch):
+    """The lengths of the two answer lists of every comparison settle
+    makes between rounds, in call order."""
+    lengths = []
+    same_answers = dlgram.engine._same_answers
+
+    def counted(xs, ys):
+        lengths.append((len(xs), len(ys)))
+        return same_answers(xs, ys)
+
+    monkeypatch.setattr(dlgram.engine, "_same_answers", counted)
+    return lengths
+
+
+@pytest.mark.parametrize("conjuncts, readings, edges, answers", [
+    (4, 25, 171, 3), (5, 57, 332, 6), (6, 124, 647, 10)])
+def test_predict_tables_answers_not_derivations(english, conjuncts, readings,
+                                                edges, answers, compared):
+    # a table entry holds one answer per variant (span, budget left,
+    # arguments up to renaming), so the lists settle compares stay as
+    # short as the distinct answers: 3 / 6 / 10 here.  Tabling every
+    # derivation, the longest held 112 / 1,154 / 11,800, about ten times
+    # more per conjunct, for the same readings and chart
+    chain = " and ".join(["each table"] * conjuncts)
+    run = parse(english, f"a apple saw {chain}", all_solutions=True)
+    assert (len(run.results), len(run.chart.edges)) == (readings, edges)
+    assert 0 < max(map(max, compared)) <= answers + 2
+
+
 def test_predict_table_keys_the_budget():
     # x(4) fails first with no budget left (after the gap g in rule 0),
     # then succeeds under rule 1 with the budget for a gap c
@@ -584,6 +616,26 @@ def test_predict_table_keys_the_budget():
         found.append(format_derivation(chart, e))
     assert found[0] == found[1]
     assert found[0].splitlines()[-1].strip() == "c(5,5)  [gap from e8]"
+
+
+@pytest.mark.parametrize("rules", [
+    # x(5,6) with the gaps c and d, then with the gap c alone: only the
+    # second leaves the budget for the gap g that s needs after it
+    "s --> x, g.\nx --> b, c, d.\nx --> b, c.\n",
+    # x(one) then x(two), each around one gap: only the second seats s
+    "s --> x(two), g.\nx(one) --> b, c.\nx(two) --> b, d.\n"
+    "t --> b, c, d, g.\n"])
+def test_predict_table_keeps_answers_that_seat_differently(rules):
+    # two answers of x with the same span are not variants when their
+    # budget left or their arguments differ, so the table keeps both
+    grammar = parse_grammar(f"{rules}b --> [bb].\nc --> [cc].\n"
+                            "d --> [dd].\ng --> [gg].\n")
+    chart = assert_input(tokenize("bb cc dd gg and bb"))
+    close(chart, grammar)
+    source = next(e for e in chart.edges if (e.start, e.end) == (0, 4))
+    found = _same_prediction(grammar, chart, "s", 5, RIGHTWARD, source, 2)
+    assert found.split()[0] == "s(5,6)"
+    assert found.count("gap from") == 2
 
 
 def test_same_answers_tells_rule_ids_apart():
@@ -681,10 +733,11 @@ def test_predict_descends_as_deep_as_the_input(direction, rules, words,
 @pytest.mark.parametrize("rules", ["a --> a.", "a --> b.\nb --> a."])
 @pytest.mark.parametrize("budget", [0, 1])
 def test_predict_returns_on_unit_cycles(rules, budget):
-    # a unit cycle gains one answer per round and never converges, so
-    # settling it runs all CORNER_CYCLE_ROUNDS rounds (s ending at 1 or
-    # starting at 2 settles the a's touching x); predict still returns,
-    # and agrees with untabled_predict
+    # s ending at 1 or starting at 2 settles the a's touching x; the
+    # chart's a(0,1) is seated before the table is read, so the unit
+    # rule rebuilds only variants of answers already kept, which the
+    # table drops, and each settle converges in a round or two; predict
+    # returns, and agrees with untabled_predict
     grammar = parse_grammar(f"{rules}\na --> [x].\ns --> a, [y], a.")
     chart = assert_input(["x", "y", "x"])
     close(chart, grammar)
@@ -694,6 +747,21 @@ def test_predict_returns_on_unit_cycles(rules, budget):
              for r in grammar.rules for anchor in range(4)
              for direction in (RIGHTWARD, LEFTWARD)]
     assert None in found and any(found)
+
+
+def test_unit_cycle_through_its_first_answer_runs_every_round(compared):
+    # no chart edge a touches 4, so the first answer of a is built through
+    # the unit rule a --> a from the round before: one answer per round,
+    # one level deeper each time, and settle stops only at the bound
+    grammar = parse_grammar("s --> a, [y].\na --> a.\na --> b, c.\n"
+                            "b --> [x].\nc --> [z].\n")
+    chart = assert_input(tokenize("x z y and x"))
+    close(chart, grammar)
+    source = next(e for e in chart.edges if e.category == "s")
+    found = _same_prediction(grammar, chart, "a", 4, RIGHTWARD, source, 1)
+    assert found.split()[0] == "a(4,5)"
+    assert [rebuilt for rebuilt, _before in compared] \
+        == [1] * CORNER_CYCLE_ROUNDS
 
 
 def _chart_copy(chart: Chart) -> Chart:
@@ -936,32 +1004,44 @@ def test_parse_leaves_no_cycles(english):
 
 def test_one_canonical_text_per_chart_add(english, monkeypatch):
     # the chart renders an edge's arguments once, for its variant key;
-    # the trace, prediction and the agendas read that text off the edge
-    import dlgram.coordination
-    import dlgram.engine
-
-    calls = {"canonical_text": 0, "add": 0}
+    # the trace, prediction and the agendas read that text off the edge.
+    # Outside Chart.add, prediction renders each answer its builds hand
+    # to the table once, for the answer's variant key, and nothing else
+    calls = {"in_add": 0, "outside": 0, "add": 0, "answers": 0}
     canonical, add = dlgram.engine.canonical_text, Chart.add
+    distinct = dlgram.engine._distinct
+    adding = []
 
     def counted_canonical(args):
-        calls["canonical_text"] += 1
+        calls["in_add" if adding else "outside"] += 1
         return canonical(args)
 
     def counted_add(self, *args):
         calls["add"] += 1
-        return add(self, *args)
+        adding.append(True)
+        try:
+            return add(self, *args)
+        finally:
+            adding.pop()
+
+    def counted_distinct(answers):
+        answers = list(answers)
+        calls["answers"] += len(answers)
+        return distinct(answers)
 
     monkeypatch.setattr(dlgram.engine, "canonical_text", counted_canonical)
     monkeypatch.setattr(Chart, "add", counted_add)
+    monkeypatch.setattr(dlgram.engine, "_distinct", counted_distinct)
     pp_gap = load_grammar(PP_GAP)
     for grammar, sentence, budget in [(english, WOODS_SENT, 1),
                                       (pp_gap, REVIVAL_SENT, 2),
                                       (pp_gap, PP_GAP_SENT, 3)]:
-        calls.update(canonical_text=0, add=0)
+        calls.update(in_add=0, outside=0, add=0, answers=0)
         lines = []
         run = parse(grammar, sentence, gap_budget=budget, trace=lines.append)
         assert run.results and lines
-        assert calls["canonical_text"] == calls["add"] > 0, sentence
+        assert calls["in_add"] == calls["add"] > 0, sentence
+        assert calls["outside"] == calls["answers"] > 0, sentence
     assert not hasattr(dlgram.coordination, "canonical_text")
 
 
