@@ -160,6 +160,7 @@ class Chart:
         self._dedup: dict = {}
         self._by_start: dict = {}  # (seat key, start) -> edges
         self._by_end: dict = {}  # (seat key, end) -> edges
+        self.correspondents: dict = {}  # source id -> {category: Edge}
 
     @property
     def current_layer(self) -> int:
@@ -401,20 +402,22 @@ def _children(chart: Chart, e: Edge) -> Sequence[int]:
     return ()
 
 
-def _find_correspondent(chart: Chart, source: Edge, category: str) -> Optional[Edge]:
-    """Deepest, rightmost constituent of the given category inside the
-    source derivation (gap edges excluded).  Ties broken by content so
-    the choice does not depend on edge ids."""
-    best = None
-    best_key = None
-    for e, depth in derivation_edges(chart, source):
-        if e.category != category or e.is_zero_width:
-            continue
-        key = (depth, e.start, e.args_text)
-        if best_key is None or key > best_key:
-            best = e
-            best_key = key
-    return best
+def _correspondents(chart: Chart, source: Edge) -> dict:
+    """{category: deepest, rightmost constituent of it inside the source
+    derivation} (gap edges excluded), ties broken by content so the
+    choice does not depend on edge ids.  One derivation walk fills the
+    table for every category; the chart keeps it per source, since a
+    committed derivation never changes."""
+    table = chart.correspondents.get(source.id)
+    if table is None:
+        best: dict = {}  # category -> (key, edge); () is below every key
+        for e, depth in derivation_edges(chart, source):
+            key = (depth, e.start, e.args_text)
+            if not e.is_zero_width and key > best.get(e.category, ((),))[0]:
+                best[e.category] = key, e
+        table = chart.correspondents[source.id] = {
+            cat: e for cat, (_key, e) in best.items()}
+    return table
 
 
 def _same_answers(xs: list, ys: list) -> bool:
@@ -514,8 +517,8 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     the one below, so a trial occurs at most once in the tree and
     replayed trials never share variables within it; alternatives that
     reuse one trial each unify it under their own persistent
-    substitution.  The correspondent of each gap category is looked up
-    once per call too.
+    substitution.  Gap correspondents come from the chart's table for
+    the source (_correspondents), filled by one walk of its derivation.
     """
     # touching(cat, pos): chart edges on the anchored side of pos; far(e):
     # where the next item in build order starts; step: build order;
@@ -533,12 +536,9 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
         raise ValueError(f"unknown direction {direction!r}")
 
     table: dict = {}  # (cat, pos, budget) -> [(_Trial, budget left)]
-    correspondents: dict = {}  # cat -> Edge or None
 
     def gap(cat: str, pos: int) -> Optional[_Trial]:
-        if cat not in correspondents:
-            correspondents[cat] = _find_correspondent(chart, source, cat)
-        corr = correspondents[cat]
+        corr = _correspondents(chart, source).get(cat)
         if corr is None:
             return None
         scope_pos = grammar.scope_args.get(cat)

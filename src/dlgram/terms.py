@@ -1,11 +1,17 @@
 """First-order terms and the symbolic operations everything else is built on.
 
 Terms are immutable trees of variables, constants, and compounds, so
-subterms can be shared: apply returns a compound unchanged when nothing
-under it is bound.  A substitution is a plain dict from variable id to
-term.  unify never mutates the one it is given but returns a new dict,
-so abandoning a failed search branch is just dropping the value, never
-undoing mutations; a caller that owns a dict (engine._instantiate, whose
+subterms can be shared; a Compound is immutable by contract.  On first
+use it caches the ids of the variables under it, built from its
+arguments' cached ids, so a subterm shared by many terms is summarised
+once.  apply returns a compound itself, without descending, when no key
+of the substitution is among those ids, and the occurs check answers by
+membership when nothing under the term is bound.
+
+A substitution is a plain dict from variable id to term.  unify never
+mutates the one it is given but returns a new dict, so abandoning a
+failed search branch is just dropping the value, never undoing
+mutations; a caller that owns a dict (engine._instantiate, whose
 bindings never leave the call, or a copy engine.predict has just made)
 may add bindings to it directly.
 Bindings may mention other bound variables; apply resolves them to
@@ -44,18 +50,48 @@ class Const:
         return self.name
 
 
-@dataclass(frozen=True)
 class Compound:
-    functor: str
-    args: tuple
+    """functor(args...), immutable by contract; _vars is _var_ids' cache."""
 
-    def __post_init__(self):
-        if not self.args:
+    __slots__ = ("functor", "args", "_vars")
+
+    def __init__(self, functor: str, args: tuple):
+        if not args:
             raise ValueError("compound terms need at least one argument; "
                              "use Const for zero-arity symbols")
+        self.functor = functor
+        self.args = args
+        self._vars = None
+
+    def __eq__(self, other):
+        if other.__class__ is not Compound:
+            return NotImplemented
+        return self.functor == other.functor and self.args == other.args
+
+    def __hash__(self):
+        return hash((self.functor, self.args))
 
     def __repr__(self):
         return f"{self.functor}({','.join(map(repr, self.args))})"
+
+
+def _var_ids(t: Compound) -> tuple:
+    """Ids of the variables under t, each once, computed on first use
+    from its arguments' cached tuples.  When the later arguments add no
+    variable, t shares the tuple of its first argument that has any."""
+    ids = t._vars
+    if ids is None:
+        ids = ()
+        for a in t.args:
+            ta = type(a)
+            sub = (_var_ids(a) if ta is Compound else (a.id,) if ta is Var
+                   else ())
+            if not ids:
+                ids = sub
+            elif sub:
+                ids += tuple(set(sub).difference(ids))
+        t._vars = ids
+    return ids
 
 
 Term = Union[Var, Const, Compound]
@@ -82,25 +118,28 @@ EMPTY_SUBST: dict = {}
 def apply(s: dict, t: Term) -> Term:
     """Replace every bound variable in t, recursively, to fixpoint.
 
-    A compound with no bound variable under it is returned itself, not
-    rebuilt, and a rebuilt one keeps its unchanged arguments.
+    A compound with no bound variable under it (no key of s among its
+    _var_ids) is returned itself, without descending, and a rebuilt one
+    keeps its unchanged arguments.
     """
-    t = walk(s, t)
-    if isinstance(t, Compound):
-        args = t.args
-        for i, a in enumerate(args):
-            b = apply(s, a)
-            if b is not a:
-                rest = tuple([apply(s, x) for x in args[i + 1:]])
-                return Compound(t.functor, args[:i] + (b,) + rest)
+    while type(t) is Var:
+        nxt = s.get(t.id)
+        if nxt is None:
+            return t
+        t = nxt
+    if type(t) is Compound and not s.keys().isdisjoint(_var_ids(t)):
+        return Compound(t.functor, tuple([apply(s, a) for a in t.args]))
     return t
 
 
 def _occurs(vid: int, t: Term, s: dict) -> bool:
     t = walk(s, t)
-    if isinstance(t, Var):
+    if type(t) is Var:
         return t.id == vid
-    if isinstance(t, Compound):
+    if type(t) is Compound:
+        ids = _var_ids(t)
+        if s.keys().isdisjoint(ids):
+            return vid in ids
         return any(_occurs(vid, a, s) for a in t.args)
     return False
 
@@ -250,13 +289,14 @@ def c_unify(t1: Term, t2: Term, conn: str,
 # lowercase; compounds are f(t1,...,tn).  No operators, no quoting.
 
 def _canon(t: Term, names: dict) -> str:
-    if isinstance(t, Var):
+    tt = type(t)
+    if tt is Var:
         if t.id not in names:
             names[t.id] = f"V{len(names)}"
         return names[t.id]
-    if isinstance(t, Const):
+    if tt is Const:
         return t.name
-    return f"{t.functor}({','.join(_canon(a, names) for a in t.args)})"
+    return f"{t.functor}({','.join([_canon(a, names) for a in t.args])})"
 
 
 def canonical_text(t) -> str:

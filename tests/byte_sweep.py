@@ -16,7 +16,8 @@ Each run prints one line: its argv (paths relative to the checkout),
 its exit code, and the sha256 of its stdout and of its stderr.  The
 pools are read from perfbench/workloads.py, which is not changed.  Two
 checkouts keep the same bytes out when their outputs are identical.
-Pytest does not collect this file.
+Pytest does not collect this file; tests/byte_sweep.txt holds its
+output, which test_byte_sweep.py recomputes in-process.
 """
 
 import hashlib
@@ -64,18 +65,31 @@ def sweep() -> list:
     return runs
 
 
-def main() -> int:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def argvs() -> list:
+    """The dlgram command line of every run, in sweep order."""
+    out = []
     for path, sentence, budget, all_coord in sweep():
         argv = ["parse", "-g", str(path), "-s", sentence, "--trace", "--json",
                 "--reshape-too", "--gap-budget", str(budget)]
         if all_coord:
             argv.append("--all-coord")
+        out.append(argv)
+    return out
+
+
+def fingerprint(argv: list, code: int, stdout: bytes, stderr: bytes) -> str:
+    """The sweep's line for one run."""
+    return " ".join([str(argv), str(code), hashlib.sha256(stdout).hexdigest(),
+                     hashlib.sha256(stderr).hexdigest()])
+
+
+def main() -> int:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv in argvs():
         done = subprocess.run([sys.executable, "-m", "dlgram", *argv],
                               cwd=ROOT, env=env, capture_output=True)
-        print(argv, done.returncode,
-              hashlib.sha256(done.stdout).hexdigest(),
-              hashlib.sha256(done.stderr).hexdigest(), flush=True)
+        print(fingerprint(argv, done.returncode, done.stdout, done.stderr),
+              flush=True)
     return 0
 
 

@@ -9,11 +9,17 @@ untabled_predict is engine.predict as it was before its subgoals were
 tabled and before it seated rules through their join templates: every
 subgoal is searched afresh each time it comes up, down to
 UNTABLED_DEPTH_CAP rule levels, and every build renames its rule apart
-and unifies each body item in full.
+and unifies each body item in full.  It finds each gap's correspondent
+with _find_correspondent, one derivation walk per gap category, where
+the engine reads a per-chart table filled by one walk per source.
 
 renaming_instantiate, which naive_parse uses, is engine._instantiate as
 it was before rules were compiled into join templates: the rule is
 renamed apart for every seating and each body item is unified in full.
+
+walking_apply and walking_occurs are terms.apply and the occurs check
+as they were before compounds cached their variables: both descend into
+every subterm.
 
 ground-instance helpers decide unifiability of jointly-generated term
 pairs by enumerating all instantiations over a two-constant universe.
@@ -28,12 +34,12 @@ from pathlib import Path
 
 from dlgram.coordination import CoordinationState
 from dlgram.engine import (D_CATEGORY, LEFTWARD, RIGHTWARD, Derived, Edge,
-                           Gap, Lexical, Predicted, _find_correspondent,
-                           _Trial, assert_input)
+                           Gap, Lexical, Predicted, _Trial, assert_input,
+                           derivation_edges)
 from dlgram.grammar import NonTerminal, Terminal
 from dlgram.terms import (EMPTY_SUBST, Compound, Const, Var, abstract_over,
                           apply, canonical_text, fresh_var, rename_fresh_all,
-                          unify_all)
+                          unify_all, walk)
 
 ORACLE_DIR = Path(__file__).parent / "oracles"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
@@ -77,6 +83,30 @@ def var_ids(t) -> set:
     if isinstance(t, Compound):
         return set().union(*map(var_ids, t.args))
     return set()
+
+
+def walking_apply(s: dict, t):
+    """Replace every bound variable in t, recursively, to fixpoint,
+    visiting every subterm; unchanged subterms come back as themselves."""
+    t = walk(s, t)
+    if isinstance(t, Compound):
+        args = t.args
+        for i, a in enumerate(args):
+            b = walking_apply(s, a)
+            if b is not a:
+                rest = tuple([walking_apply(s, x) for x in args[i + 1:]])
+                return Compound(t.functor, args[:i] + (b,) + rest)
+    return t
+
+
+def walking_occurs(vid: int, t, s: dict) -> bool:
+    """Whether variable vid occurs in t under s, visiting every subterm."""
+    t = walk(s, t)
+    if isinstance(t, Var):
+        return t.id == vid
+    if isinstance(t, Compound):
+        return any(walking_occurs(vid, a, s) for a in t.args)
+    return False
 
 
 def _brute_seatings(rule, chart, id_limit):
@@ -185,6 +215,22 @@ def naive_parse(grammar, tokens, meta_coordination=True):
 
 # ---------------------------------------------------------------------------
 # Untabled prediction: the search engine.predict tables, done the slow way.
+
+def _find_correspondent(chart, source, category):
+    """Deepest, rightmost constituent of the given category inside the
+    source derivation (gap edges excluded), found by a walk of its own.
+    Ties broken by content so the choice does not depend on edge ids."""
+    best = None
+    best_key = None
+    for e, depth in derivation_edges(chart, source):
+        if e.category != category or e.is_zero_width:
+            continue
+        key = (depth, e.start, e.args_text)
+        if best_key is None or key > best_key:
+            best = e
+            best_key = key
+    return best
+
 
 # untabled_predict descends at most this many rule levels below its root:
 # what ends its left recursion rightward and right recursion leftward

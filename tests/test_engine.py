@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import dlgram.coordination
 import dlgram.engine
+import dlgram.terms
 import oracle_impls
 from dlgram import parse
 from dlgram.engine import (CORNER_CYCLE_ROUNDS, D_CATEGORY, Chart, Derived,
@@ -1269,3 +1270,48 @@ def test_concurrent_parses_share_a_grammar(english):
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(forms, sentences))
     assert threaded == sequential
+
+
+def test_apply_visits_only_what_a_binding_reaches(english, monkeypatch):
+    # every apply call, recursive ones included, while the chain parses.
+    # Descending into every subterm, apply made 21,127 calls here; with
+    # compounds that know their variables it stops at any subterm that
+    # holds no bound variable, which leaves about 9,400
+    calls = [0]
+    original = dlgram.terms.apply
+
+    def counted(s, t):
+        calls[0] += 1
+        return original(s, t)
+
+    for module in (dlgram.terms, dlgram.engine, dlgram.coordination):
+        monkeypatch.setattr(module, "apply", counted)
+    chain = " and ".join(["a man"] * 13)
+    run = parse(english, f"john saw {chain}")
+    assert run.results
+    assert calls[0] <= 10_000
+
+
+def test_each_source_derivation_is_walked_once(english, monkeypatch):
+    # predict looks up a gap's correspondent in a per-chart table, built
+    # for each source by one derivation walk over all categories; walked
+    # once per (source, category), the chain made 2,919 walks
+    walks = []
+    walk = dlgram.engine.derivation_edges
+    correspondent = oracle_impls._find_correspondent
+
+    def counted(chart, root):
+        walks.append(root.id)
+        return walk(chart, root)
+
+    monkeypatch.setattr(dlgram.engine, "derivation_edges", counted)
+    chain = " and ".join(["each table"] * 8)
+    run = parse(english, f"a apple saw {chain}", all_solutions=True)
+    assert len(run.results) == 537
+    assert len(walks) == len(set(walks)) == 834
+    # the table agrees with a walk per category on every source it holds
+    monkeypatch.setattr(dlgram.engine, "derivation_edges", walk)
+    for source_id, table in run.chart.correspondents.items():
+        source = run.chart.edges[source_id]
+        for cat in {e.category for e in run.chart.edges}:
+            assert table.get(cat) is correspondent(run.chart, source, cat)

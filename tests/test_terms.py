@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from dlgram import parse
 from dlgram.grammar import GrammarSyntaxError, parse_term
-from dlgram.terms import (EMPTY_SUBST, Compound, Const, Var, abstract_over,
-                          apply, c_unify, canonical_text, fresh_var,
-                          is_variant, is_variant_seq, rename_fresh,
+from dlgram.terms import (EMPTY_SUBST, Compound, Const, Var, _occurs,
+                          abstract_over, apply, c_unify, canonical_text,
+                          fresh_var, is_variant, is_variant_seq, rename_fresh,
                           rename_fresh_all, unify)
-from oracle_impls import gen_pair, has_common_ground_instance, var_ids
+from oracle_impls import (gen_pair, has_common_ground_instance, var_ids,
+                          walking_apply, walking_occurs)
 
 
 def T(text, varmap=None):
@@ -293,6 +294,64 @@ def test_apply_returns_t_when_nothing_under_it_is_bound(t, bound):
     assert out == _rebuilt(s, t)
     if not var_ids(t) & bound:
         assert out is t
+
+
+_chain_vars = [Var(-1, "X"), Var(-2, "Y"), Var(-3, "Z"), Var(-4, "W")]
+
+
+@st.composite
+def _shared_terms(draw):
+    """A pool of terms in which each compound takes its arguments from the
+    terms before it, so one object sits under many terms."""
+    pool = [Const("a"), Const("b"), *_chain_vars]
+    for _ in range(draw(st.integers(1, 10))):
+        args = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        pool.append(Compound(draw(st.sampled_from("fgh")), tuple(args)))
+    return pool
+
+
+@st.composite
+def _acyclic_substs(draw, pool):
+    """Substitutions over _chain_vars that bind each variable, or not, to
+    a pool term holding only later variables: no cycle, and chains such
+    as X -> Y -> f(Z) arise."""
+    s = {}
+    for i, v in enumerate(_chain_vars):
+        later = {w.id for w in _chain_vars[i + 1:]}
+        targets = [t for t in pool if var_ids(t) <= later]
+        if draw(st.booleans()):
+            s[v.id] = draw(st.sampled_from(targets))
+    return s
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_apply_and_occurs_match_the_walking_oracles(data):
+    # several substitutions over one pool of shared compounds: every call
+    # after the first reads the variables each compound has cached
+    pool = data.draw(_shared_terms())
+    for _ in range(data.draw(st.integers(1, 4))):
+        s = data.draw(_acyclic_substs(pool))
+        for t in pool:
+            out, want = apply(s, t), walking_apply(s, t)
+            assert out == want
+            assert (out is t) == (want is t)
+            if s.keys().isdisjoint(var_ids(t)):
+                assert out is t
+            for v in _chain_vars:
+                assert _occurs(v.id, t, s) == walking_occurs(v.id, t, s)
+
+
+def test_compound_keeps_the_dataclass_contract():
+    x = fresh_var("X")
+    t = Compound("f", (x, Const("a")))
+    assert t == Compound(functor="f", args=(x, Const("a")))
+    assert t != Compound("g", (x, Const("a")))
+    assert t != ("f", (x, Const("a")))
+    assert hash(t) == hash(("f", (x, Const("a"))))
+    assert repr(t) == f"f({x!r},a)"
+    with pytest.raises(ValueError):
+        Compound("f", ())
 
 
 @given(_named_terms)
