@@ -17,7 +17,7 @@ from .api import parse
 from .engine import LayerCapError, tokenize
 from .grammar import GrammarError, load_grammar, validate
 from .reshape import reshape
-from .terms import canonical_text, canonical_texts
+from .terms import canonical_text
 
 
 def emit_json(results, chart, constraints=()) -> dict:
@@ -28,7 +28,7 @@ def emit_json(results, chart, constraints=()) -> dict:
             {
                 "id": e.id,
                 "cat": e.category,
-                "args": canonical_texts(e.args),
+                "args": list(e.arg_texts),
                 "start": e.start,
                 "end": e.end,
                 "layer": e.layer,

@@ -70,8 +70,10 @@ def refresh_agenda(c: CoordConstraint, chart: Chart,
     left = [e for cat in cats for e in chart.at_end(cat, c.n)]
     right = [e for cat in cats for e in chart.at_start(cat, c.m)]
     # span-length ordering; ties broken by content so that evaluation
-    # order does not depend on edge ids.  With one end fixed, the keys
-    # are the chart's dedup keys, so the order is total.
+    # order does not depend on edge ids.  With one end fixed, two edges
+    # with the same key would have the same category, span and
+    # canonical text, so they would be variants, which the chart never
+    # holds twice; the order is total.
     left.sort(key=lambda e: (-e.start, e.category, e.args_text))
     right.sort(key=lambda e: (e.end, e.category, e.args_text))
     c.agenda = ([(LEFT_COMPLETE, e) for e in left]

@@ -9,15 +9,16 @@ empty.  A per-layer hook lets the coordination machinery inject edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 from .grammar import Grammar, Rule, Terminal
 from .terms import (EMPTY_SUBST, Compound, Const, Term, abstract_over, apply,
-                    canonical_text, fresh_var, unify_all, walk)
-# not called here; perfbench's tracer wraps engine.rename_fresh_all by name
-from .terms import rename_fresh_all  # noqa: F401
+                    canonical_texts, fresh_var, unify_all, variant_key, walk)
+# not called here; perfbench's tracer wraps engine.rename_fresh_all and
+# engine.canonical_text by name
+from .terms import canonical_text, rename_fresh_all  # noqa: F401
 
 D_CATEGORY = "'D'"
 
@@ -34,8 +35,10 @@ class LayerCapError(RuntimeError):
 
 
 # Provenances: text() is the --trace rendering, json() the --json one.
+# Records here are slotted and immutable by contract, not frozen: a
+# frozen dataclass sets each field through object.__setattr__.
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class InputWord:
     def text(self) -> str:
         return "input"
@@ -44,7 +47,7 @@ class InputWord:
         return {"kind": "input"}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lexical:
     rule_id: int
 
@@ -55,7 +58,7 @@ class Lexical:
         return {"kind": "lexical", "rule": self.rule_id}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Derived:
     rule_id: int
     children: tuple
@@ -68,7 +71,7 @@ class Derived:
                 "children": list(self.children)}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Predicted:
     rule_id: int
     children: tuple
@@ -81,7 +84,7 @@ class Predicted:
                 "children": list(self.children)}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Gap:
     source: int  # edge the arguments were abstracted from
 
@@ -92,7 +95,7 @@ class Gap:
         return {"kind": "gap", "source": self.source}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Coordinated:
     constraint_id: int
     source: int
@@ -106,16 +109,36 @@ class Coordinated:
                 "source": self.source, "target": self.target}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Edge:
+    """A chart edge, immutable by contract."""
     id: int
     category: str
     args: tuple
-    args_text: str  # canonical_text(args), the chart's variant key
     start: int
     end: int
     layer: int
     provenance: object
+    _texts: Optional[tuple] = field(default=None, init=False, compare=False)
+    _text: Optional[str] = field(default=None, init=False, compare=False)
+
+    @property
+    def arg_texts(self) -> tuple:
+        """canonical_texts(args), rendered on first read and kept."""
+        texts = self._texts
+        if texts is None:
+            texts = self._texts = tuple(canonical_texts(self.args))
+        return texts
+
+    @property
+    def args_text(self) -> str:
+        """canonical_text(args), arg_texts joined by commas on first read
+        and kept.  Sorts and the trace read it; the chart's variant key
+        is structural."""
+        text = self._text
+        if text is None:
+            text = self._text = ",".join(self.arg_texts)
+        return text
 
     @property
     def is_zero_width(self) -> bool:
@@ -177,17 +200,17 @@ class Chart:
 
     def add(self, category: str, args: Sequence[Term], start: int, end: int,
             provenance) -> tuple:
-        """Insert an edge unless a variant already exists.
-        Returns (edge, added)."""
+        """Insert an edge unless a variant already exists: the same
+        category and span, and arguments with the same variant_key.
+        Renders no text.  Returns (edge, added)."""
         if not (0 <= start <= end <= self.n):
             raise ValueError(f"edge span {start}..{end} outside input 0..{self.n}")
         args = tuple(args)
-        text = canonical_text(args)
-        key = (category, start, end, text)
+        key = (category, start, end, variant_key(args))
         existing = self._dedup.get(key)
         if existing is not None:
             return self.edges[existing], False
-        e = Edge(len(self.edges), category, args, text, start, end,
+        e = Edge(len(self.edges), category, args, start, end,
                  self.current_layer, provenance)
         self.edges.append(e)
         self._dedup[key] = e.id
@@ -234,11 +257,12 @@ def assert_input(tokens: Sequence[str],
     return chart
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class _Trial:
     """A constituent built but not yet added to the chart: a seating
     match_rule instantiated, or a node of predict's search.  close and
-    predict's commit turn it into an edge and its provenance."""
+    predict's commit turn it into an edge and its provenance.  Immutable
+    by contract."""
     category: str
     args: tuple
     start: int
@@ -458,12 +482,13 @@ def _same_answers(xs: list, ys: list) -> bool:
 
 def _distinct(answers) -> list:
     """The first (_Trial, budget left) of each variant, in the order given:
-    answers alike in span, budget left and canonical_text(args) seat
-    alike, so a later one leads only to trees the first leads to sooner."""
+    answers alike in span, budget left and variant_key(args), the key the
+    chart dedups by, seat alike, so a later one leads only to trees the
+    first leads to sooner.  Renders no text."""
     kept: dict = {}
     for trial, left in answers:
         kept.setdefault((trial.start, trial.end, left,
-                         canonical_text(trial.args)), (trial, left))
+                         variant_key(trial.args)), (trial, left))
     return list(kept.values())
 
 
@@ -498,8 +523,9 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     resolution.  The chart, source and direction do not change during
     the search, so a subgoal's answers, (_Trial, budget left) pairs,
     depend on the subgoal alone.  A subgoal is tabled whole before it is
-    served, one answer per variant (_distinct), and its answers are
-    replayed in the order found (an empty list records a failure).
+    served, one answer per variant under the chart's structural key
+    (_distinct), and its answers are replayed in the order found (an
+    empty list records a failure).
     Every body item after the first in build order starts past a token
     or a gap, so a descent can meet its own subgoal again only through a
     corner cycle: categories that reach themselves through first items

@@ -1,12 +1,14 @@
 """First-order terms and the symbolic operations everything else is built on.
 
 Terms are immutable trees of variables, constants, and compounds, so
-subterms can be shared; a Compound is immutable by contract.  On first
-use it caches the ids of the variables under it, built from its
-arguments' cached ids, so a subterm shared by many terms is summarised
-once.  apply returns a compound itself, without descending, when no key
-of the substitution is among those ids, and the occurs check answers by
-membership when nothing under the term is bound.
+subterms can be shared; all three are immutable by contract.  On first
+use a Compound summarises itself in one walk that reads its arguments'
+summaries, so a subterm shared by many terms is summarised once: the
+ids of the variables under it, and its part of the structural variant
+key (variant_key).  apply returns a compound itself, without
+descending, when no key of the substitution is among those ids, and
+the occurs check answers by membership when nothing under the term is
+bound.
 
 A substitution is a plain dict from variable id to term.  unify never
 mutates the one it is given but returns a new dict, so abandoning a
@@ -16,6 +18,11 @@ bindings never leave the call, or a copy engine.predict has just made)
 may add bindings to it directly.
 Bindings may mention other bound variables; apply resolves them to
 fixpoint, and the occurs check in unify rules out cycles.
+
+Two term vectors have equal variant keys exactly when they are variants
+of each other, which for terms written in the grammar's syntax is when
+their canonical_text is equal; the key is built from the cached
+summaries, the text is rendered only for output and ordering.
 """
 
 from __future__ import annotations
@@ -27,9 +34,9 @@ from typing import Iterable, Optional, Sequence, Union
 _fresh_ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var:
-    """A logic variable.
+    """A logic variable, immutable by contract.
 
     Identity is the numeric id alone; the display name is kept for
     readability of debug output and is ignored by comparisons.
@@ -42,8 +49,10 @@ class Var:
         return f"{self.name}#{self.id}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Const:
+    """A constant, immutable by contract."""
+
     name: str
 
     def __repr__(self):
@@ -51,9 +60,11 @@ class Const:
 
 
 class Compound:
-    """functor(args...), immutable by contract; _vars is _var_ids' cache."""
+    """functor(args...), immutable by contract.  _vars and _shape cache
+    its summary (_summarize), filled on first use, _shape first: a
+    compound whose _vars is set has its _shape."""
 
-    __slots__ = ("functor", "args", "_vars")
+    __slots__ = ("functor", "args", "_vars", "_shape")
 
     def __init__(self, functor: str, args: tuple):
         if not args:
@@ -75,23 +86,75 @@ class Compound:
         return f"{self.functor}({','.join(map(repr, self.args))})"
 
 
+def _summarize(terms, shape: list) -> tuple:
+    """Append the parts of a term vector to shape and return (ids,
+    pattern), read off the cached summaries of its compounds; a compound
+    not summarised yet is summarised here, in the same walk.
+
+    ids are the variables under the vector, each once, in order of first
+    occurrence.  The parts mirror the terms: None (a hole) for a
+    variable, a constant's name, a compound's _shape.  pattern numbers,
+    in turn, the ids of each term by their place in ids; it is () when no
+    variable occurs under two of the terms, where that numbering is
+    0, 1, 2, ...  A compound's _shape is (functor, pattern, *parts) of
+    its arguments, so repeats inside a term are in its part, and the
+    vector's pattern only says which variables the terms share.  When
+    the later terms add no variable, ids is the tuple of the first term
+    that has any, shared.
+    """
+    ids = ()
+    seq = None  # the terms' ids, concatenated, once two terms have any
+    for a in terms:
+        ta = type(a)
+        if ta is Var:
+            sub = (a.id,)
+            shape.append(None)
+        elif ta is Compound:
+            sub = a._vars
+            if sub is None:
+                part = [a.functor, None]
+                sub, part[1] = _summarize(a.args, part)
+                a._shape = tuple(part)
+                a._vars = sub
+            shape.append(a._shape)
+        else:
+            shape.append(a.name)
+            continue
+        if not ids:
+            ids = sub
+        elif sub:
+            if seq is None:
+                seq = [*ids, *sub]
+            else:
+                seq += sub
+    if seq is None:
+        return ids, ()
+    first, ids = ids, tuple(dict.fromkeys(seq))
+    n = len(ids)
+    pattern = () if n == len(seq) else tuple(map(ids.index, seq))
+    return (first if n == len(first) else ids), pattern
+
+
 def _var_ids(t: Compound) -> tuple:
-    """Ids of the variables under t, each once, computed on first use
-    from its arguments' cached tuples.  When the later arguments add no
-    variable, t shares the tuple of its first argument that has any."""
+    """Ids of the variables under t, each once, summarised on first use
+    together with t's part of the variant key (_summarize)."""
     ids = t._vars
     if ids is None:
-        ids = ()
-        for a in t.args:
-            ta = type(a)
-            sub = (_var_ids(a) if ta is Compound else (a.id,) if ta is Var
-                   else ())
-            if not ids:
-                ids = sub
-            elif sub:
-                ids += tuple(set(sub).difference(ids))
-        t._vars = ids
+        ids, _pattern = _summarize((t,), [])
     return ids
+
+
+def variant_key(terms: Sequence[Term]) -> tuple:
+    """(shape, pattern): equal for two term vectors exactly when they are
+    variants, one renaming shared by the whole vector.  shape mirrors the
+    terms with a hole for each variable (repeats inside one term in its
+    compounds' parts); pattern numbers the variables the terms share, ()
+    when they share none.  Once the compounds are summarised, the work
+    grows with the number of terms and of their variables, not with the
+    size of the terms."""
+    shape: list = []
+    _ids, pattern = _summarize(terms, shape)
+    return tuple(shape), pattern
 
 
 Term = Union[Var, Const, Compound]

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import itertools
 import random
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dlgram.cli
 import dlgram.coordination
 import dlgram.engine
 import dlgram.terms
@@ -1003,47 +1005,75 @@ def test_parse_leaves_no_cycles(english):
         gc.enable()
 
 
-def test_one_canonical_text_per_chart_add(english, monkeypatch):
-    # the chart renders an edge's arguments once, for its variant key;
-    # the trace, prediction and the agendas read that text off the edge.
-    # Outside Chart.add, prediction renders each answer its builds hand
-    # to the table once, for the answer's variant key, and nothing else
-    calls = {"in_add": 0, "outside": 0, "add": 0, "answers": 0}
-    canonical, add = dlgram.engine.canonical_text, Chart.add
-    distinct = dlgram.engine._distinct
-    adding = []
+def test_edge_texts_are_rendered_on_demand_once(english, monkeypatch):
+    # with no trace sink, Chart.add and _distinct key variants by
+    # structure and render no text; an edge renders its arguments the
+    # first time the trace, a sort key or emit_json reads them, and
+    # keeps them
+    rendered = []  # the args of each canonical_texts call
+    inside = []  # the Chart.add or _distinct calls running
+    nodes = {"keyed": 0}  # terms rendered while one of them runs
+    canon, texts = dlgram.terms._canon, dlgram.engine.canonical_texts
+    add, distinct = Chart.add, dlgram.engine._distinct
 
-    def counted_canonical(args):
-        calls["in_add" if adding else "outside"] += 1
-        return canonical(args)
+    def counted_canon(t, names):
+        nodes["keyed"] += bool(inside)
+        return canon(t, names)
 
-    def counted_add(self, *args):
-        calls["add"] += 1
-        adding.append(True)
-        try:
-            return add(self, *args)
-        finally:
-            adding.pop()
+    def counted_texts(args):
+        rendered.append(args)
+        return texts(args)
 
-    def counted_distinct(answers):
-        answers = list(answers)
-        calls["answers"] += len(answers)
-        return distinct(answers)
+    def keyed(fn):
+        def call(*args):
+            # _distinct's answers are built (and may sort) before it runs
+            args = [list(a) if inspect.isgenerator(a) else a for a in args]
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return call
 
-    monkeypatch.setattr(dlgram.engine, "canonical_text", counted_canonical)
-    monkeypatch.setattr(Chart, "add", counted_add)
-    monkeypatch.setattr(dlgram.engine, "_distinct", counted_distinct)
+    def forbidden(_t):
+        raise AssertionError("the engine renders edges with canonical_texts")
+
+    monkeypatch.setattr(dlgram.terms, "_canon", counted_canon)
+    monkeypatch.setattr(dlgram.engine, "canonical_texts", counted_texts)
+    monkeypatch.setattr(dlgram.engine, "canonical_text", forbidden)
+    monkeypatch.setattr(Chart, "add", keyed(add))
+    monkeypatch.setattr(dlgram.engine, "_distinct", keyed(distinct))
+    assert not hasattr(dlgram.cli, "canonical_texts")
+    assert not hasattr(dlgram.coordination, "canonical_text")
     pp_gap = load_grammar(PP_GAP)
     for grammar, sentence, budget in [(english, WOODS_SENT, 1),
                                       (pp_gap, REVIVAL_SENT, 2),
                                       (pp_gap, PP_GAP_SENT, 3)]:
-        calls.update(in_add=0, outside=0, add=0, answers=0)
+        # untraced, only the sort keys read texts
+        rendered.clear()
+        nodes["keyed"] = 0
+        run = parse(grammar, sentence, gap_budget=budget)
+        assert run.results
+        assert nodes["keyed"] == 0
+        assert len(rendered) < len(run.chart.edges)
+        # traced and dumped, every edge is rendered, each once
+        rendered.clear()
         lines = []
         run = parse(grammar, sentence, gap_budget=budget, trace=lines.append)
+        doc = dlgram.cli.emit_json(run.results, run.chart, run.constraints)
         assert run.results and lines
-        assert calls["in_add"] == calls["add"] > 0, sentence
-        assert calls["outside"] == calls["answers"] > 0, sentence
-    assert not hasattr(dlgram.coordination, "canonical_text")
+        assert sorted(map(id, rendered)) == sorted(
+            id(e.args) for e in run.chart.edges)
+        assert [d["args"] for d in doc["edges"]] == [
+            texts(e.args) for e in run.chart.edges]
+    # the untraced 13-conjunct chain reads the texts of 49 of its 511
+    # edges; rendering every add's arguments took 684 renders
+    rendered.clear()
+    nodes["keyed"] = 0
+    chain = " and ".join(["a man"] * 13)
+    run = parse(english, f"john saw {chain}")
+    assert run.results and nodes["keyed"] == 0
+    assert len(rendered) <= 60
 
 
 @pytest.mark.parametrize("which, sentences", [

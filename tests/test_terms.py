@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import strategies as st
 
 from dlgram import parse
 from dlgram.grammar import GrammarSyntaxError, parse_term
+from dlgram.engine import Derived, Edge, InputWord
 from dlgram.terms import (EMPTY_SUBST, Compound, Const, Var, _occurs,
                           abstract_over, apply, c_unify, canonical_text,
                           fresh_var, is_variant, is_variant_seq, rename_fresh,
-                          rename_fresh_all, unify)
+                          rename_fresh_all, unify, variant_key)
 from oracle_impls import (gen_pair, has_common_ground_instance, var_ids,
                           walking_apply, walking_occurs)
 
@@ -342,7 +344,44 @@ def test_apply_and_occurs_match_the_walking_oracles(data):
                 assert _occurs(v.id, t, s) == walking_occurs(v.id, t, s)
 
 
+_key_names = ["a", "b", "ab", "f", "g", "fg", "n0"]
+_key_vars = [Var(-1, "X"), Var(-2, "Y"), Var(-3, "Z"), Var(-4, "W")]
+# a renaming binds every _key_var to one of these, so apply makes no chain
+_key_targets = [Var(-5, "P"), Var(-6, "Q"), Var(-7, "R"), Var(-8, "S")]
+
+
+@st.composite
+def _key_vectors(draw):
+    """Argument vectors over a pool of terms in which each compound takes
+    its arguments from the terms before it, as _shared_terms builds it,
+    over identifier names.  Each vector is drawn under a renaming of the
+    variables that may merge some, so vectors alike up to renaming, and
+    alike but for which variables repeat, both arise."""
+    names = st.sampled_from(_key_names)
+    pool = [Const(draw(names)), Const(draw(names)), *_key_vars]
+    for _ in range(draw(st.integers(1, 8))):
+        args = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        pool.append(Compound(draw(names), tuple(args)))
+    vectors = []
+    for _ in range(draw(st.integers(2, 6))):
+        vector = draw(st.lists(st.sampled_from(pool), max_size=3))
+        s = {v.id: draw(st.sampled_from(_key_targets)) for v in _key_vars}
+        vectors.append(tuple(apply(s, t) for t in vector))
+    return vectors
+
+
+@settings(max_examples=400)
+@given(_key_vectors())
+def test_variant_key_partitions_vectors_as_canonical_text_does(vectors):
+    for v1, v2 in itertools.product(vectors, repeat=2):
+        assert ((variant_key(v1) == variant_key(v2))
+                == (canonical_text(v1) == canonical_text(v2))), (v1, v2)
+
+
 def test_compound_keeps_the_dataclass_contract():
+    # Compound is a slotted class, Var, Const, Edge and the provenances
+    # slotted dataclasses that are not frozen; each compares, hashes and
+    # prints as the frozen dataclass it replaced
     x = fresh_var("X")
     t = Compound("f", (x, Const("a")))
     assert t == Compound(functor="f", args=(x, Const("a")))
@@ -352,6 +391,30 @@ def test_compound_keeps_the_dataclass_contract():
     assert repr(t) == f"f({x!r},a)"
     with pytest.raises(ValueError):
         Compound("f", ())
+    # a variable is its id: the name is for display only
+    assert Var(7, "X") == Var(7, "Y") == Var(id=7)
+    assert Var(7, "X") != Var(8, "X")
+    assert Var(7) != (7,) and Var(7).name == "_"
+    assert hash(Var(7, "X")) == hash(Var(7, "Y")) == hash((7,))
+    assert repr(Var(7, "X")) == "X#7"
+    assert Const("a") == Const(name="a") != Const("b")
+    assert Const("a") != "a" and Const("a") != Var(7, "a")
+    assert hash(Const("a")) == hash(("a",))
+    assert repr(Const("a")) == "a"
+    # an edge compares every field but its rendered texts, which reading
+    # args_text fills
+    fields = (3, "np", (x, Compound("g", (x,))), 1, 2, 4, InputWord())
+    e = Edge(*fields)
+    assert e == Edge(*fields) and hash(e) == hash(fields)
+    assert e != Edge(4, *fields[1:]) and e != fields
+    assert repr(e) == "np(V0,g(V0),1,2)"
+    assert e.arg_texts == ("V0", "g(V0)") and e.args_text == "V0,g(V0)"
+    assert e == Edge(*fields) and hash(e) == hash(fields)
+    assert repr(Edge(0, "s", (), 0, 1, 1, InputWord())) == "s(0,1)"
+    # and so do the provenance records
+    assert Derived(2, (0, 1)) == Derived(2, (0, 1)) != Derived(2, (1, 0))
+    assert hash(Derived(2, (0, 1))) == hash((2, (0, 1)))
+    assert InputWord() == InputWord() and hash(InputWord()) == hash(())
 
 
 @given(_named_terms)
