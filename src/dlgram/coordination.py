@@ -25,7 +25,6 @@ RIGHT_COMPLETE = "right"
 @dataclass
 class CoordConstraint:
     id: int
-    conj_edge_id: int
     n: int  # conjunction start
     m: int  # conjunction end
     connective: str
@@ -47,9 +46,8 @@ def post(chart: Chart, state: "CoordinationState") -> list:
         if e.category != conj_category:
             continue
         conn = e.args[0].name
-        c = CoordConstraint(
-            id=len(state.constraints) + 1,
-            conj_edge_id=e.id, n=e.start, m=e.end, connective=conn)
+        c = CoordConstraint(id=len(state.constraints) + 1,
+                            n=e.start, m=e.end, connective=conn)
         state.constraints.append(c)
         new.append(c)
         state.log_line(f"C{c.id}: posted {conj_category}({conn},{c.n},{c.m})")

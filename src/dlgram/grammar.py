@@ -287,9 +287,9 @@ def _tokenize(source: str):
             toks.append(_Tok(kind, text, line, col))
             col += i - start
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # ASCII only: int() reads other digits too
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and "0" <= source[i] <= "9":
                 i += 1
             toks.append(_Tok("NUMBER", source[start:i], line, col))
             col += i - start
@@ -366,8 +366,9 @@ def parse_grammar(source: str, strict: bool = True) -> Grammar:
     """Parse grammar source into a Grammar.
 
     Directives are folded into the fields, with defaults for the ones
-    omitted.  With strict=True (the default), error-severity diagnostics
-    from validation raise GrammarError.
+    omitted.  A @conj directive naming a category with no rules raises
+    GrammarError.  With strict=True (the default), error-severity
+    diagnostics from validation raise it too, listed first.
     """
     p = _Parser(source)
     rules = []
@@ -375,7 +376,7 @@ def parse_grammar(source: str, strict: bool = True) -> Grammar:
     scope_args: dict = {}
     quantifiers: list = []
     connectives: list = []
-    directive_lines: dict = {}
+    conj_line = None  # line of the @conj directive
 
     while p.peek().kind != "EOF":
         t = p.peek()
@@ -389,7 +390,8 @@ def parse_grammar(source: str, strict: bool = True) -> Grammar:
                     raise GrammarSyntaxError(
                         f"duplicate @{name} directive", name_tok.line, name_tok.col)
                 directives[name] = val
-                directive_lines[name] = name_tok.line
+                if name == "conj":
+                    conj_line = name_tok.line
             elif name == "scope":
                 cat = p.expect("IDENT").text
                 pos_tok = p.expect("NUMBER")
@@ -397,7 +399,6 @@ def parse_grammar(source: str, strict: bool = True) -> Grammar:
                     raise GrammarSyntaxError(
                         f"duplicate @scope directive for {cat}", name_tok.line, name_tok.col)
                 scope_args[cat] = int(pos_tok.text)
-                directive_lines[f"scope {cat}"] = name_tok.line
             elif name == "quant":
                 functor = p.expect("IDENT").text
                 if functor in quantifiers:
@@ -458,16 +459,15 @@ def parse_grammar(source: str, strict: bool = True) -> Grammar:
         category_arities=arities,
     )
 
-    if strict:
-        errors = [d for d in validate(g) if d.severity == "error"]
-        if "conj" in directives and not g.rules_for(g.conj_category):
-            errors.append(Diagnostic(
-                "error",
-                f"conjunction directive names unknown category {g.conj_category}",
-                directive_lines.get("conj")))
-        if errors:
-            raise GrammarError(
-                "; ".join(str(d) for d in errors), diagnostics=errors)
+    errors = [d for d in validate(g) if d.severity == "error"] if strict else []
+    if conj_line is not None and not g.rules_for(g.conj_category):
+        errors.append(Diagnostic(
+            "error",
+            f"conjunction directive names unknown category {g.conj_category}",
+            conj_line))
+    if errors:
+        raise GrammarError(
+            "; ".join(str(d) for d in errors), diagnostics=errors)
     return g
 
 

@@ -93,26 +93,14 @@ def too_rule() -> RewriteRule:
     )
 
 
-class _StepCounter:
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.steps = 0
-
-    def tick(self):
-        self.steps += 1
-        if self.steps > self.cap:
-            raise RewriteLimitError(
-                f"rewriting exceeded {self.cap} steps; the rule set "
-                f"probably does not terminate")
-
-
-def _normalize(t: Term, rules: Sequence[RewriteRule], counter: _StepCounter) -> Term:
+def _normalize(t: Term, rules: Sequence[RewriteRule]) -> Term:
     """Rewrite innermost-first to fixpoint: the arguments left to right,
     then the root, and a rewritten term afresh.  The work list is explicit,
-    so a rule that nests its left side stops at the step cap, not at
-    Python's recursion limit."""
+    so a rule that nests its left side stops at REWRITE_STEP_CAP rewrites,
+    not at Python's recursion limit."""
     todo: list = [t]  # terms; (functor, arity) below a compound's args
     done: list = []  # normal forms
+    steps = 0
     while todo:
         t = todo.pop()
         if isinstance(t, Compound):
@@ -126,7 +114,11 @@ def _normalize(t: Term, rules: Sequence[RewriteRule], counter: _StepCounter) -> 
         for rule in rules:
             b = _match(rule.pattern, t, {})
             if b is not None:
-                counter.tick()
+                steps += 1
+                if steps > REWRITE_STEP_CAP:
+                    raise RewriteLimitError(
+                        f"rewriting exceeded {REWRITE_STEP_CAP} steps; the "
+                        f"rule set probably does not terminate")
                 todo.append(_fill(rule.template, b))
                 break
         else:
@@ -145,4 +137,4 @@ def reshape(t: Term, grammar: Grammar,
         rules.append(too_rule())
     if not rules:
         return t
-    return _normalize(t, rules, _StepCounter(REWRITE_STEP_CAP))
+    return _normalize(t, rules)

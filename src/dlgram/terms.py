@@ -22,7 +22,8 @@ fixpoint, and the occurs check in unify rules out cycles.
 Two term vectors have equal variant keys exactly when they are variants
 of each other, which for terms written in the grammar's syntax is when
 their canonical_text is equal; the key is built from the cached
-summaries, the text is rendered only for output and ordering.
+summaries, the text is rendered only for output and ordering.  The key
+is the only variance test: is_variant and is_variant_seq compare keys.
 """
 
 from __future__ import annotations
@@ -267,34 +268,14 @@ def rename_fresh_all(terms: Iterable[Term]) -> tuple:
     return tuple(_rename(t, mapping) for t in terms)
 
 
-def _variant_walk(a: Term, b: Term, fwd: dict, bwd: dict) -> bool:
-    if isinstance(a, Var) and isinstance(b, Var):
-        if fwd.setdefault(a.id, b.id) != b.id:
-            return False
-        if bwd.setdefault(b.id, a.id) != a.id:
-            return False
-        return True
-    if isinstance(a, Const) and isinstance(b, Const):
-        return a.name == b.name
-    if isinstance(a, Compound) and isinstance(b, Compound):
-        if a.functor != b.functor or len(a.args) != len(b.args):
-            return False
-        return all(_variant_walk(x, y, fwd, bwd) for x, y in zip(a.args, b.args))
-    return False
-
-
 def is_variant(t1: Term, t2: Term) -> bool:
     """True iff some variable-renaming bijection makes t1 and t2 identical."""
-    return _variant_walk(t1, t2, {}, {})
+    return variant_key((t1,)) == variant_key((t2,))
 
 
 def is_variant_seq(ts1: Sequence[Term], ts2: Sequence[Term]) -> bool:
     """Variant test over whole vectors, with one shared renaming."""
-    if len(ts1) != len(ts2):
-        return False
-    fwd: dict = {}
-    bwd: dict = {}
-    return all(_variant_walk(a, b, fwd, bwd) for a, b in zip(ts1, ts2))
+    return variant_key(ts1) == variant_key(ts2)
 
 
 def abstract_over(args: Sequence[Term], scope_index: int) -> tuple:

@@ -75,13 +75,21 @@ def test_check_bad_grammar(tmp_path, capsys):
         # parse prints the same lines, each once, on stderr
         assert main(["parse", "-g", str(p), "-s", "a and a"]) == 2
         assert capsys.readouterr().err == "".join(ln + "\n" for ln in lines)
-    # syntax errors and an empty grammar keep their single prefix
+    # what the reader rejects: check and parse print the same single line,
+    # with a single prefix, on stderr, and no traceback
     for source, err in [
             ("s --> np\n", "error: expected DOT, found '' at line 2, column 1"),
-            ("% nothing\n", "error: a grammar needs at least one rule")]:
-        p.write_text(source)
+            ("% nothing\n", "error: a grammar needs at least one rule"),
+            ("@scope s \u00b2.\ns(X) --> [a].\n",
+             "error: unexpected character '\u00b2' at line 1, column 10"),
+            ("@conj c.\ns --> [a].\n",
+             "error: conjunction directive names unknown category c "
+             "(line 1)")]:
+        p.write_text(source, encoding="utf-8")
         assert main(["parse", "-g", str(p), "-s", "a"]) == 2
         assert capsys.readouterr().err == err + "\n"
+        assert main(["check", "-g", str(p)]) == 2
+        assert capsys.readouterr() == ("", err + "\n")
 
 
 def test_missing_grammar_file(english_path, tmp_path, capsys):

@@ -767,6 +767,24 @@ def test_unit_cycle_through_its_first_answer_runs_every_round(compared):
         == [1] * CORNER_CYCLE_ROUNDS
 
 
+def test_settle_compares_trees_not_answer_keys():
+    # predicting s rightward from 4 settles the cycle a --> b, b --> a at
+    # 4: round 1 builds a(4,5) from d and c's gap, round 2 adds b(4,5)
+    # over it, and round 3 rebuilds a(4,5) over that b under the same
+    # answer key, so only the trees tell that round 2 was not the last.
+    # Keys alone would stop after round 2 and commit the shallow a(4,5),
+    # with no b(4,5) line
+    grammar = parse_grammar("s --> a, [y].\na --> b.\nb --> a.\n"
+                            "a --> d, c.\nd --> [x].\nc --> [z].\n"
+                            "conj(and) --> [and].\n")
+    lines = []
+    parse(grammar, "x z y and x y", trace=lines.append)
+    predicted = ["T4: c(5,5)  [gap from e8]", "T4: a(4,5)  [predicted r3]",
+                 "T4: b(4,5)  [predicted r2]", "T4: s(4,6)  [predicted r0]"]
+    at = lines.index(predicted[0])
+    assert lines[at:at + 4] == predicted
+
+
 def _chart_copy(chart: Chart) -> Chart:
     """A new chart with the same edges, ids and layers, sharing their
     terms, so that a prediction on it leaves the original as it was."""

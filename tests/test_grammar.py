@@ -119,12 +119,36 @@ def test_explicit_conj_directive_must_name_a_category():
         parse_grammar("@conj cc.\ns --> [a].")
     # the implicit default is allowed to be absent
     assert parse_grammar("s --> [a].").conj_category == "conj"
+    # reported without strict too, as duplicate directives are; strict
+    # puts validate's errors first
+    src = "s --> np.\n@conj cc.\nnp --> zz.\n"
+    with pytest.raises(GrammarError) as exc:
+        parse_grammar(src, strict=False)
+    assert [str(d) for d in exc.value.diagnostics] == [
+        "error: conjunction directive names unknown category cc (line 2)"]
+    with pytest.raises(GrammarError) as exc:
+        parse_grammar(src)
+    assert [str(d) for d in exc.value.diagnostics] == [
+        "error: undefined category zz (line 3)",
+        "error: conjunction directive names unknown category cc (line 2)"]
 
 
 def test_syntax_error_carries_position():
     with pytest.raises(GrammarSyntaxError) as exc:
         parse_grammar("np --> \n det ???.")
     assert "line 2" in str(exc.value)
+
+
+@pytest.mark.parametrize("src, col", [
+    ("@scope s \u00b2.\ns(X) --> [a].", 10),  # superscript two
+    ("@scope s 1\u0663.\ns(X) --> [a].", 11),  # Arabic-Indic three
+])
+def test_number_is_ascii_digits(src, col):
+    # str.isdigit accepts these, and int() fails on the first and reads
+    # 1\u0663 as 13
+    with pytest.raises(GrammarSyntaxError, match="unexpected character") as exc:
+        parse_grammar(src)
+    assert (exc.value.line, exc.value.col) == (1, col)
 
 
 def test_missing_terminator():

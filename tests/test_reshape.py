@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from dlgram import parse
 from dlgram.grammar import parse_term
 from dlgram.reshape import (REWRITE_STEP_CAP, RewriteLimitError, RewriteRule,
-                            _normalize, _StepCounter, distribution_rules,
-                            reshape, too_rule)
-from dlgram.terms import Compound, Var, fresh_var, is_variant
+                            _normalize, distribution_rules, reshape,
+                            too_rule)
+from dlgram.terms import Compound, Const, Var, fresh_var, is_variant
 
 
 def T(text, vm=None):
@@ -172,19 +172,30 @@ def test_step_cap_raises_on_nonterminating_rules():
     looping = RewriteRule("loop", Compound("p", (x,)),
                           Compound("p", (Compound("p", (x,)),)))
     with pytest.raises(RewriteLimitError):
-        _normalize(T("p(a)"), (looping,), _StepCounter(50))
+        _normalize(T("p(a)"), (looping,))
 
 
 def test_step_cap_is_reached_before_the_recursion_limit():
-    # each step nests the term one level deeper, so a walk that recursed
-    # per level would hit Python's recursion limit long before the cap
+    # a chain of n q's takes exactly n rewrites of q(X) -> r(X): one at
+    # each level, innermost first.  The chain is as deep as the cap, so a
+    # walk that recursed per level would hit Python's recursion limit
+    # before the cap
     x = fresh_var("X")
-    looping = RewriteRule("loop", Compound("p", (x,)),
-                          Compound("p", (Compound("p", (x,)),)))
-    counter = _StepCounter(REWRITE_STEP_CAP)
+    rule = RewriteRule("q-to-r", Compound("q", (x,)), Compound("r", (x,)))
+
+    def chain(functor, n):
+        t = Const("a")
+        for _ in range(n):
+            t = Compound(functor, (t,))
+        return t
+
+    out = _normalize(chain("q", REWRITE_STEP_CAP), (rule,))
+    for _ in range(REWRITE_STEP_CAP):
+        assert out.functor == "r"
+        out = out.args[0]
+    assert out == Const("a")
     with pytest.raises(RewriteLimitError):
-        _normalize(T("p(a)"), (looping,), counter)
-    assert counter.steps == REWRITE_STEP_CAP + 1
+        _normalize(chain("q", REWRITE_STEP_CAP + 1), (rule,))
 
 
 # random quantified logical forms over the grammar's quantifier and

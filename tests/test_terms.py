@@ -149,6 +149,16 @@ def test_is_variant_examples():
     assert not is_variant(T("f(X,Y)", vm), T("f(Z,Z)", vm))
     assert is_variant(T("f(a)"), T("f(a)"))
     assert not is_variant(T("f(a)"), T("f(b)"))
+    # cases text cannot decide: a constant whose name reads as a compound,
+    # and variables shared across the terms of a vector
+    assert canonical_text(Const("f(a)")) == canonical_text(T("f(a)"))
+    assert not is_variant(Const("f(a)"), T("f(a)"))
+    vm = {}
+    assert not is_variant_seq((T("f(X)", vm), T("g(X)", vm)),
+                              (T("f(X)", vm), T("g(Y)", vm)))
+    assert is_variant_seq((T("f(X)", vm), T("g(Y)", vm)),
+                          (T("f(Y)", vm), T("g(X)", vm)))
+    assert not is_variant_seq((T("f(X)"),), (T("f(X)"), T("g(Y)")))
 
 
 # --- abstract_over ---------------------------------------------------------
