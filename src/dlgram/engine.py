@@ -14,8 +14,9 @@ from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 from .grammar import Grammar, Rule, Terminal
-from .terms import (EMPTY_SUBST, Compound, Const, Term, abstract_over, apply,
-                    canonical_texts, fresh_var, unify_all, variant_key, walk)
+from .terms import (EMPTY_SUBST, Compound, Const, Term, Var, _var_ids,
+                    abstract_over, apply, canonical_texts, fresh_var,
+                    unify_all, variant_key, walk)
 # not called here; perfbench's tracer wraps engine.rename_fresh_all and
 # engine.canonical_text by name
 from .terms import canonical_text, rename_fresh_all  # noqa: F401
@@ -295,10 +296,10 @@ def match_rule(rule: Rule, delta: set, chart: Chart,
     decides which edges fit an item, looked up by its seat key
     (Rule.seat_keys); seeds lists the delta edges the same way, as
     _by_seat_key(delta's edges) does, and is built here when not given
-    (close builds it once per round).  The seatings are instantiated in
-    (start, child ids) order, the order of a depth-first scan over every
-    start position, since each positional index lists its edges in id
-    order.
+    (close builds it once per round).  The rule's closure kernel
+    (_compile_kernel) instantiates the seatings in (start, child ids)
+    order, the order of a depth-first scan over every start position,
+    since each positional index lists its edges in id order.
     """
     if seeds is None:
         seeds = _by_seat_key(chart.edges[i] for i in delta)
@@ -316,16 +317,31 @@ def match_rule(rule: Rule, delta: set, chart: Chart,
                            for e in chart.at_start(right, p[-1].end)]
             seatings.extend(partial)
     seatings.sort(key=lambda chosen: (chosen[0].start, [e.id for e in chosen]))
-    out = []
-    for chosen in seatings:
-        inst = _instantiate(rule, chosen)
-        if inst is not None:
-            out.append(inst)
-    return out
+    kernel = _closure_kernel(rule)
+    return [t for t in map(kernel, seatings) if t is not None]
 
 
-def _instantiate(rule: Rule, chosen: Sequence[Edge]) -> Optional[_Trial]:
-    """Unify the body items with the chosen edges and build the head.
+def _closure_kernel(rule: Rule) -> Callable:
+    """The rule's closure kernel (_compile_kernel), compiled the first
+    time closure joins the rule, not when the grammar is loaded, and kept
+    on the rule, where cached_property keeps its join_template."""
+    kernel = rule.__dict__.get("closure_kernel")
+    if kernel is None:
+        kernel = rule.__dict__["closure_kernel"] = _compile_kernel(rule)
+    return kernel
+
+
+def _ids(t: Term) -> tuple:
+    """Ids of the variables in t."""
+    if type(t) is Var:
+        return (t.id,)
+    return _var_ids(t) if type(t) is Compound else ()
+
+
+def _compile_kernel(rule: Rule) -> Callable:
+    """Compile the rule's join_template into one straight-line function,
+    kernel(chosen): the _Trial that seats the rule body on the edges
+    chosen, or None when its argument unifications fail.
 
     The rule is not renamed apart: no chart edge ever holds one of a
     grammar rule's own variables, because every head built here or by
@@ -333,31 +349,121 @@ def _instantiate(rule: Rule, chosen: Sequence[Edge]) -> Optional[_Trial]:
     variable to an edge term, or an edge variable to a rule term already
     reached in body order, so a rule variable not reached yet occurs in
     no bound term.  Its first occurrence (from Rule.join_template) is
-    therefore bound directly, with no unify and no occurs check, and
-    only the other positions are unified.  Rule variables still unbound
-    after the body each get a fresh variable of the same name, so two
-    heads built from one rule share none.  The bindings live in a dict
-    local to the call.
+    therefore held in a local, with no unify and no occurs check.  No
+    local is walked, since unify_all and apply walk what they read.
+
+    Only the other positions are unified, in a dict s of the kernel's
+    own.  An item whose other positions are all constants is checked by
+    equality, and an edge variable there is bound to the constant.  Any
+    other item calls unify_all once, after putting into s the locals its
+    compound terms read.  A rule variable first met inside a compound
+    lives in s alone.  Rule variables the body never bound each get a
+    fresh variable of the same name, in the order of variables, so two
+    heads built from one rule share none.  The head is built one
+    compound per statement: a ground subterm is the rule's own term, and
+    each of its rule variables goes through apply once, unless no body
+    item has a position to unify.  (One nested expression would hit the
+    parser's limit on nested parentheses.)
+
+    The source runs with this module's globals, so the kernel looks up
+    unify_all, apply and the rest here every time it runs.
     """
     items, variables = rule.join_template
-    s: dict = {}
-    for item, edge in zip(items, chosen):
+    head = rule.head.args
+    consts: list = []  # rule terms the kernel reads, bound to K0, K1, ...
+
+    def const(t: Term) -> str:
+        consts.append(t)
+        return f"K{len(consts) - 1}"
+
+    name = {vid: f"v{i}" for i, (vid, _n) in enumerate(variables)}
+    in_rest = {vid for item in items if item is not None
+               for t in item[2] for vid in _ids(t)}
+    in_head = set().union(*map(_ids, head))
+    local: set = set()  # rule variables held in a local
+    in_s: set = set()  # locals put into s
+    unifies = any(item is not None and item[2] for item in items)
+    bound = False  # whether s may bind an edge variable yet
+    edges = [f"e{i}" for i in range(len(items))]
+    code = [f"{', '.join(edges)}, = chosen"]
+    if unifies:
+        code.append("s = {}")
+    for i, item in enumerate(items):
         if item is None:
             continue
         firsts, rest_at, rest = item
-        args = edge.args
-        for k, vid in firsts:
-            s[vid] = walk(s, args[k])
-        if rest:
-            s = unify_all(rest, [args[k] for k in rest_at], s)
-            if s is None:
-                return None
-    for vid, name in variables:
-        if vid not in s:
-            s[vid] = fresh_var(name)
-    return _Trial(rule.head.category,
-                  tuple(apply(s, t) for t in rule.head.args),
-                  chosen[0].start, chosen[-1].end, rule.id, tuple(chosen))
+        local.update(vid for _k, vid in firsts)
+        read = [f"{name[vid]} = a[{k}]" for k, vid in firsts
+                if vid in in_rest or vid in in_head]
+        if read or rest:
+            code += [f"a = e{i}.args", *read]
+        if not rest:
+            continue
+        if all(type(t) is Const for t in rest):
+            for k, c in zip(rest_at, rest):
+                code += [f"t = walk(s, a[{k}])" if bound else f"t = a[{k}]",
+                         f"if type(t) is not Const or t.name != {c.name!r}:",
+                         "    if type(t) is not Var:",
+                         "        return None",
+                         f"    s[t.id] = {const(c)}"]
+                bound = True
+            continue
+        terms = []
+        for t in rest:
+            if type(t) is Var and t.id in local:
+                terms.append(name[t.id])
+                continue
+            for vid in _ids(t):
+                if vid in local and vid not in in_s:
+                    in_s.add(vid)
+                    code.append(f"s[{vid}] = {name[vid]}")
+            terms.append(const(t))
+        code += [f"s = unify_all(({', '.join(terms)},), "
+                 f"({', '.join(f'a[{k}]' for k in rest_at)},), s)",
+                 "if s is None:",
+                 "    return None"]
+        bound = True
+    for vid, var_name in variables:
+        if vid in local:
+            continue
+        if vid in in_rest:  # first met inside a compound
+            code += [f"if {vid} not in s:",
+                     f"    s[{vid}] = fresh_var({var_name!r})"]
+        else:  # in the head only
+            code.append(f"{name[vid]} = fresh_var({var_name!r})")
+    for vid, _n in variables:
+        if unifies and vid in in_head:
+            if vid in local:
+                code.append(f"{name[vid]} = apply(s, {name[vid]})")
+            elif vid in in_rest:
+                code.append(f"{name[vid]} = apply(s, s[{vid}])")
+
+    def build(t: Term) -> str:
+        """The expression for head term t, its compounds built first."""
+        if type(t) is Var:
+            return name[t.id]
+        if type(t) is Const or not _var_ids(t):
+            return const(t)
+        parts = ""
+        for a in t.args:  # a loop: one Python frame per level of t
+            parts += build(a) + ", "
+        tmp = f"h{len(code)}"
+        code.append(f"{tmp} = Compound({t.functor!r}, ({parts}))")
+        return tmp
+
+    args = "".join(build(t) + ", " for t in head)
+    code.append(f"return _Trial({rule.head.category!r}, ({args}), e0.start, "
+                f"{edges[-1]}.end, {rule.id}, ({', '.join(edges)},))")
+    fn = f"rule_{rule.id}_kernel"
+    source = "".join([
+        f"def make({', '.join(f'K{i}' for i in range(len(consts)))}):\n",
+        f"    def {fn}(chosen):\n",
+        *(f"        {line}\n" for line in code),
+        f"    return {fn}\n"])
+    scope: dict = {}
+    exec(compile(source, f"<closure kernel of rule {rule.id}>", "exec"),
+         globals(), scope)
+    return scope["make"](*consts)
 
 
 def close(chart: Chart, grammar: Grammar,
@@ -513,7 +619,7 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
 
     Rules are seated through their join templates in build order
     (Rule.join_template rightward, Rule.reversed_join_template
-    leftward), as _instantiate seats them, not renamed apart: each
+    leftward), as closure's kernels seat them, not renamed apart: each
     child binds the first occurrences of rule variables directly in a
     copy of the seating's substitution and unifies only the other
     positions.  A completed seating gives every rule variable still

@@ -88,6 +88,13 @@ class Rule:
         """The seat_key of each body item, in body order."""
         return tuple(map(seat_key, self.body))
 
+    def __getstate__(self) -> dict:
+        """The rule's state for pickling, without the closure kernel that
+        engine keeps beside the cached properties: a compiled function,
+        which cannot be pickled and is compiled again on first use."""
+        return {k: v for k, v in self.__dict__.items()
+                if k != "closure_kernel"}
+
 
 def _join_template(body: tuple, head: NonTerminal) -> tuple:
     """Rule.join_template of a body taken in the given order."""
@@ -299,6 +306,12 @@ def _tokenize(source: str):
     return toks
 
 
+# Most compounds one term may nest, the outermost included.  Terms are
+# read, summarised, applied and rendered by recursion, one or two Python
+# frames per level, so a deeper term would end in a RecursionError.
+MAX_TERM_DEPTH = 256
+
+
 class _Parser:
     def __init__(self, source: str):
         self.toks = _tokenize(source)
@@ -319,7 +332,9 @@ class _Parser:
                 f"expected {kind}, found {t.text!r}", t.line, t.col)
         return self.next()
 
-    def parse_term(self, varmap: dict) -> Term:
+    def parse_term(self, varmap: dict, depth: int = 1) -> Term:
+        """Read one term; depth counts the compounds it is nested in,
+        itself included, up to MAX_TERM_DEPTH."""
         t = self.next()
         if t.kind == "VAR":
             if t.text == "_":
@@ -330,11 +345,15 @@ class _Parser:
         if t.kind != "IDENT":
             raise GrammarSyntaxError(f"expected a term, found {t.text!r}", t.line, t.col)
         if self.peek().kind == "LPAREN":
+            if depth > MAX_TERM_DEPTH:
+                raise GrammarSyntaxError(
+                    f"term nested more than {MAX_TERM_DEPTH} deep",
+                    t.line, t.col)
             self.next()
-            args = [self.parse_term(varmap)]
+            args = [self.parse_term(varmap, depth + 1)]
             while self.peek().kind == "COMMA":
                 self.next()
-                args.append(self.parse_term(varmap))
+                args.append(self.parse_term(varmap, depth + 1))
             self.expect("RPAREN")
             return Compound(t.text, tuple(args))
         return Const(t.text)

@@ -13,9 +13,9 @@ bound.
 A substitution is a plain dict from variable id to term.  unify never
 mutates the one it is given but returns a new dict, so abandoning a
 failed search branch is just dropping the value, never undoing
-mutations; a caller that owns a dict (engine._instantiate, whose
-bindings never leave the call, or a copy engine.predict has just made)
-may add bindings to it directly.
+mutations; a caller that owns a dict (a closure kernel, whose bindings
+never leave the call, or a copy engine.predict has just made) may add
+bindings to it directly.
 Bindings may mention other bound variables; apply resolves them to
 fixpoint, and the occurs check in unify rules out cycles.
 
@@ -191,8 +191,12 @@ def apply(s: dict, t: Term) -> Term:
         if nxt is None:
             return t
         t = nxt
-    if type(t) is Compound and not s.keys().isdisjoint(_var_ids(t)):
-        return Compound(t.functor, tuple([apply(s, a) for a in t.args]))
+    if type(t) is Compound:
+        ids = t._vars
+        if ids is None:
+            ids = _var_ids(t)
+        if not s.keys().isdisjoint(ids):
+            return Compound(t.functor, tuple([apply(s, a) for a in t.args]))
     return t
 
 
@@ -212,19 +216,22 @@ def unify(t1: Term, t2: Term, s: dict = EMPTY_SUBST) -> Optional[dict]:
     """Most general unifier of t1 and t2 under s, or None.
 
     Failure is a value; the input substitution is never mutated.  The
-    occurs check is always on.
+    occurs check is always on, but only a compound needs it: a variable
+    or a constant cannot contain the variable it is bound to.
     """
     t1 = walk(s, t1)
     t2 = walk(s, t2)
-    if isinstance(t1, Var):
-        if isinstance(t2, Var) and t1.id == t2.id:
+    if type(t1) is Var:
+        if type(t2) is Var and t1.id == t2.id:
             return s
-        if _occurs(t1.id, t2, s):
+        if type(t2) is Compound and _occurs(t1.id, t2, s):
             return None
         return {**s, t1.id: t2}
-    if isinstance(t2, Var):
-        return unify(t2, t1, s)
-    if isinstance(t1, Const) or isinstance(t2, Const):
+    if type(t2) is Var:
+        if type(t1) is Compound and _occurs(t2.id, t1, s):
+            return None
+        return {**s, t2.id: t1}
+    if type(t1) is Const or type(t2) is Const:
         return s if t1 == t2 else None
     if t1.functor != t2.functor or len(t1.args) != len(t2.args):
         return None

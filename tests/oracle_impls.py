@@ -13,9 +13,11 @@ and unifies each body item in full.  It finds each gap's correspondent
 with _find_correspondent, one derivation walk per gap category, where
 the engine reads a per-chart table filled by one walk per source.
 
-renaming_instantiate, which naive_parse uses, is engine._instantiate as
-it was before rules were compiled into join templates: the rule is
-renamed apart for every seating and each body item is unified in full.
+renaming_instantiate, which naive_parse uses, instantiates a seating
+as closure did before rules had join templates and compiled kernels
+(engine._compile_kernel): the rule is renamed apart for every seating,
+each body item is unified in full, and the head is built by applying
+the substitution to the head arguments.
 
 walking_apply and walking_occurs are terms.apply and the occurs check
 as they were before compounds cached their variables: both descend into

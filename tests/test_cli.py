@@ -9,6 +9,7 @@ import pytest
 import dlgram.coordination
 from dlgram import load_grammar, parse
 from dlgram.cli import emit_json, main
+from dlgram.grammar import MAX_TERM_DEPTH
 from oracle_impls import pp_gap_pool, untabled_predict
 
 ROOT = Path(__file__).parent.parent
@@ -90,6 +91,33 @@ def test_check_bad_grammar(tmp_path, capsys):
         assert capsys.readouterr().err == err + "\n"
         assert main(["check", "-g", str(p)]) == 2
         assert capsys.readouterr() == ("", err + "\n")
+
+
+def test_term_depth_is_bounded(tmp_path, capsys):
+    # a head whose variable sits at the bottom of s(f(f(...X...))): the
+    # reader takes MAX_TERM_DEPTH nested compounds and rejects one more
+    # with a single line, before the recursive term walks could end in a
+    # RecursionError traceback
+    p = tmp_path / "deep.dlg"
+
+    def write(depth):
+        nested = "f(" * (depth - 1) + "X" + ")" * (depth - 1)
+        p.write_text(f"s({nested}) --> t(X).\nt(a) --> [a].\n")
+        return "f(" * (depth - 1) + "a" + ")" * (depth - 1)
+
+    form = write(MAX_TERM_DEPTH)
+    assert main(["parse", "-g", str(p), "-s", "a", "--json", "--trace"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out.splitlines()[-1])
+    assert [r["logical_form"] for r in doc["parses"]] == [form]
+    write(MAX_TERM_DEPTH + 1)
+    err = (f"error: term nested more than {MAX_TERM_DEPTH} deep "
+           f"at line 1, column {2 * MAX_TERM_DEPTH + 1}\n")
+    assert main(["parse", "-g", str(p), "-s", "a", "--json", "--trace"]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert main(["check", "-g", str(p)]) == 2
+    assert capsys.readouterr() == ("", err)
 
 
 def test_missing_grammar_file(english_path, tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import inspect
 import itertools
+import pickle
 import random
 from pathlib import Path
 
@@ -17,12 +18,12 @@ import oracle_impls
 from dlgram import parse
 from dlgram.engine import (CORNER_CYCLE_ROUNDS, D_CATEGORY, Chart, Derived,
                            Gap, InputWord, LEFTWARD, LayerCapError, Predicted,
-                           RIGHTWARD, _by_seat_key, _instantiate,
+                           RIGHTWARD, _by_seat_key, _closure_kernel,
                            _same_answers, _Trial, assert_input, close,
                            derivation_edges, format_derivation, match_rule,
                            predict, tokenize)
-from dlgram.grammar import (Grammar, NonTerminal, Terminal, load_grammar,
-                            parse_grammar, parse_term)
+from dlgram.grammar import (MAX_TERM_DEPTH, Grammar, NonTerminal, Terminal,
+                            load_grammar, parse_grammar, parse_term)
 from dlgram.terms import Const, Var, canonical_text, is_variant
 from oracle_impls import (_brute_seatings, _naive_rounds, edge_key_set,
                           naive_parse, pp_gap_pool, renaming_instantiate,
@@ -352,9 +353,9 @@ def test_gap_in_the_newest_layer_seats_nothing(gap_layer):
 
 
 def _same_instantiation(rule, chosen):
-    """Assert that _instantiate and the renaming oracle agree on a
-    seating; returns whether it succeeded."""
-    got = _instantiate(rule, chosen)
+    """Assert that the rule's closure kernel and the renaming oracle agree
+    on a seating; returns whether it succeeded."""
+    got = _closure_kernel(rule)(chosen)
     want = renaming_instantiate(rule, chosen)
     assert (got is None) == (want is None), (rule.id, chosen)
     if got is None:
@@ -412,10 +413,50 @@ def _seat_on_chart(rule_text: str, edge_args: list) -> tuple:
     # only the occurs check rejects these
     ("p(X) --> q(X,f(X)).", [["Y", "Y"]], False),
     ("p(X) --> q(X), r(f(X)).", [["A"], ["A"]], False),
+    # an all-constant item: checked by equality, an edge variable bound
+    ("p(X) --> q(a), r(X).", [["a"], ["b"]], True),
+    ("p(X) --> q(a), r(X).", [["A"], ["A"]], True),
+    ("p(X) --> q(a), r(X).", [["b"], ["b"]], False),
+    ("p(X) --> q(a), r(X).", [["f(a)"], ["b"]], False),
+    # constants and a repeat in one item go through unify_all together
+    ("p(X) --> q(X), r(X,a).", [["A"], ["b", "B"]], True),
+    ("p(X) --> q(X), r(X,a).", [["b"], ["b", "c"]], False),
+    # after an item bound an edge variable: a first occurrence that holds
+    # it, and a constant checked against what it is bound to
+    ("p(Y) --> q(a), r(Y).", [["A"], ["A"]], True),
+    ("p(Y) --> q(a), r(b,Y).", [["A"], ["A", "B"]], False),
+    ("p(Y) --> q(a), r(a,Y).", [["A"], ["A", "A"]], True),
+    # a head mixing ground compounds with variables under compounds
+    ("p(g(f(a),X),h(b),k(W,f(X))) --> q(X).", [["A"]], True),
+    ("p(g(f(a),X),h(b)) --> q(X), r(X).", [["A"], ["f(B)"]], True),
 ])
 def test_instantiate_template_paths(rule_text, edge_args, succeeds):
     rule, chosen = _seat_on_chart(rule_text, edge_args)
     assert _same_instantiation(rule, chosen) is succeeds
+
+
+def test_kernel_builds_a_head_nested_to_the_depth_bound():
+    # the kernel builds a head one compound per statement, so the
+    # deepest head the reader takes needs no nested expression
+    nested = "f(" * (MAX_TERM_DEPTH - 1) + "X" + ")" * (MAX_TERM_DEPTH - 1)
+    rule, chosen = _seat_on_chart(f"p({nested}) --> q(X), r(X).",
+                                  [["g(A)"], ["g(b)"]])
+    assert _same_instantiation(rule, chosen)
+    got = _closure_kernel(rule)(chosen).args[0]
+    for _ in range(MAX_TERM_DEPTH - 1):
+        got = got.args[0]
+    assert canonical_text(got) == "g(b)"
+
+
+def test_a_grammar_pickles_after_closure_compiled_its_kernels(english):
+    # a rule keeps its kernel, a compiled function, out of its pickled
+    # state, so a grammar can still go to another process after a parse
+    run = parse(english, WOODS_SENT)
+    assert all("closure_kernel" in vars(r) for r in english.rules_for("np"))
+    copy = pickle.loads(pickle.dumps(english))
+    assert not any("closure_kernel" in vars(r) for r in copy.rules)
+    assert edge_key_set(parse(copy, WOODS_SENT).chart) == edge_key_set(
+        run.chart)
 
 
 # arguments: a bare variable half the time, else a term over X, Y, Z
@@ -1324,7 +1365,8 @@ def test_apply_visits_only_what_a_binding_reaches(english, monkeypatch):
     # every apply call, recursive ones included, while the chain parses.
     # Descending into every subterm, apply made 21,127 calls here; with
     # compounds that know their variables it stops at any subterm that
-    # holds no bound variable, which leaves about 9,400
+    # holds no bound variable, which leaves about 9,400; closure's kernels,
+    # which apply each head variable once, leave 8,751
     calls = [0]
     original = dlgram.terms.apply
 
@@ -1338,6 +1380,35 @@ def test_apply_visits_only_what_a_binding_reaches(english, monkeypatch):
     run = parse(english, f"john saw {chain}")
     assert run.results
     assert calls[0] <= 10_000
+
+
+def test_closure_unifies_only_what_equality_cannot_decide(english,
+                                                          monkeypatch):
+    # unify_all calls made by closure's rule kernels while the chain
+    # parses.  Calling it for every item with a non-first position made
+    # 983; conj(and), whose argument is a constant, is now checked by
+    # equality, which leaves 553
+    calls = [0]
+    joining = [False]
+    unify_all, match_rule = dlgram.engine.unify_all, dlgram.engine.match_rule
+
+    def counted(*args):
+        calls[0] += joining[0]
+        return unify_all(*args)
+
+    def joined(*args):
+        joining[0] = True
+        try:
+            return match_rule(*args)
+        finally:
+            joining[0] = False
+
+    monkeypatch.setattr(dlgram.engine, "unify_all", counted)
+    monkeypatch.setattr(dlgram.engine, "match_rule", joined)
+    chain = " and ".join(["a man"] * 13)
+    run = parse(english, f"john saw {chain}")
+    assert run.results
+    assert 0 < calls[0] <= 600
 
 
 def test_each_source_derivation_is_walked_once(english, monkeypatch):
