@@ -38,12 +38,14 @@ class CoordConstraint:
 
 def post(chart: Chart, state: "CoordinationState") -> list:
     """One new constraint per conjunction edge added since the last post.
-    The connective is the conj edge's single argument, a constant (the
-    grammar's validation guarantees both)."""
+    The connective is the conj edge's single argument, a constant: the
+    grammar's validation guarantees both for a conj edge that covers
+    input.  A zero-width one, a gap prediction committed, has a fresh
+    variable there and posts nothing; it stays in the chart."""
     conj_category = state.grammar.conj_category
     new = []
     for e in chart.edges[state.posted_upto:]:
-        if e.category != conj_category:
+        if e.category != conj_category or e.is_zero_width:
             continue
         conn = e.args[0].name
         c = CoordConstraint(id=len(state.constraints) + 1,

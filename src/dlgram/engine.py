@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
-from .grammar import Grammar, Rule, Terminal
-from .terms import (EMPTY_SUBST, Compound, Const, Term, Var, _var_ids,
-                    abstract_over, apply, canonical_texts, fresh_var,
-                    unify_all, variant_key, walk)
+from .grammar import KERNEL_ATTRS, Grammar, NonTerminal, Rule, Terminal
+from .terms import (Compound, Const, Term, Var, _var_ids, abstract_over,
+                    apply, canonical_texts, fresh_var, unify_all,
+                    variant_key, walk)
 # not called here; perfbench's tracer wraps engine.rename_fresh_all and
 # engine.canonical_text by name
 from .terms import canonical_text, rename_fresh_all  # noqa: F401
@@ -296,8 +296,8 @@ def match_rule(rule: Rule, delta: set, chart: Chart,
     decides which edges fit an item, looked up by its seat key
     (Rule.seat_keys); seeds lists the delta edges the same way, as
     _by_seat_key(delta's edges) does, and is built here when not given
-    (close builds it once per round).  The rule's closure kernel
-    (_compile_kernel) instantiates the seatings in (start, child ids)
+    (close builds it once per round).  The rule's body-order kernel
+    (_kernel) instantiates the seatings in (start, child ids)
     order, the order of a depth-first scan over every start position,
     since each positional index lists its edges in id order.
     """
@@ -317,18 +317,60 @@ def match_rule(rule: Rule, delta: set, chart: Chart,
                            for e in chart.at_start(right, p[-1].end)]
             seatings.extend(partial)
     seatings.sort(key=lambda chosen: (chosen[0].start, [e.id for e in chosen]))
-    kernel = _closure_kernel(rule)
+    kernel = _kernel(rule)
     return [t for t in map(kernel, seatings) if t is not None]
 
 
-def _closure_kernel(rule: Rule) -> Callable:
-    """The rule's closure kernel (_compile_kernel), compiled the first
-    time closure joins the rule, not when the grammar is loaded, and kept
-    on the rule, where cached_property keeps its join_template."""
-    kernel = rule.__dict__.get("closure_kernel")
+def _kernel(rule: Rule, leftward: bool = False) -> Callable:
+    """The rule's kernel (_compile_kernel) for one build order: body
+    order for closure and rightward prediction, reversed for leftward
+    prediction.  Compiled the first time it is needed, not when the
+    grammar is loaded, and kept on the rule under KERNEL_ATTRS."""
+    attr = KERNEL_ATTRS[leftward]
+    kernel = rule.__dict__.get(attr)
     if kernel is None:
-        kernel = rule.__dict__["closure_kernel"] = _compile_kernel(rule)
+        kernel = rule.__dict__[attr] = _compile_kernel(rule, leftward)
     return kernel
+
+
+def _join_template(body: tuple, head: NonTerminal) -> tuple:
+    """How a kernel seats a body taken in the given order: (items,
+    variables).
+
+    items has one entry per body item: None for a terminal, else
+    (firsts, rest_at, rest).  firsts are the (position, variable id)
+    pairs whose argument is the first occurrence of a rule variable in
+    that order; rest_at are the other positions and rest their rule
+    terms.  variables is every (id, name) of the rule, the head-only
+    ones included.
+    """
+    seen: dict = {}  # variable id -> name, in order of occurrence
+    items = []
+    for it in body:
+        if isinstance(it, Terminal):
+            items.append(None)
+            continue
+        firsts, rest_at, rest = [], [], []
+        for k, a in enumerate(it.args):
+            if type(a) is Var and a.id not in seen:
+                firsts.append((k, a.id))
+            else:
+                rest_at.append(k)
+                rest.append(a)
+            _note_vars(a, seen)
+        items.append((tuple(firsts), tuple(rest_at), tuple(rest)))
+    for a in head.args:
+        _note_vars(a, seen)
+    return tuple(items), tuple(seen.items())
+
+
+def _note_vars(t: Term, seen: dict) -> None:
+    """Record the variables of t in seen, left to right."""
+    if type(t) is Var:
+        seen.setdefault(t.id, t.name)
+    elif type(t) is Compound:
+        for a in t.args:
+            _note_vars(a, seen)
 
 
 def _ids(t: Term) -> tuple:
@@ -338,23 +380,30 @@ def _ids(t: Term) -> tuple:
     return _var_ids(t) if type(t) is Compound else ()
 
 
-def _compile_kernel(rule: Rule) -> Callable:
-    """Compile the rule's join_template into one straight-line function,
-    kernel(chosen): the _Trial that seats the rule body on the edges
-    chosen, or None when its argument unifications fail.
+def _compile_kernel(rule: Rule, leftward: bool) -> Callable:
+    """Compile the rule's join template (_join_template) for one build
+    order into one straight-line function, kernel(chosen): the _Trial
+    that seats the rule body on the children chosen, or None when its
+    argument unifications fail.
 
-    The rule is not renamed apart: no chart edge ever holds one of a
-    grammar rule's own variables, because every head built here or by
-    predict has its rule variables bound.  A binding maps a rule
-    variable to an edge term, or an edge variable to a rule term already
-    reached in body order, so a rule variable not reached yet occurs in
-    no bound term.  Its first occurrence (from Rule.join_template) is
-    therefore held in a local, with no unify and no occurs check.  No
-    local is walked, since unify_all and apply walk what they read.
+    chosen holds one child per body item, an edge or a _Trial of
+    predict's search, in build order: body order, reversed when
+    leftward.  The _Trial keeps that order; its span runs from the
+    leftmost child's start to the rightmost child's end.
+
+    The rule is not renamed apart: no chart edge or trial ever holds one
+    of a grammar rule's own variables, because every head built here has
+    its rule variables bound, and a gap's arguments come from a chart
+    edge or are fresh.  A binding maps a rule variable to a child term,
+    or a child variable to a rule term already reached in build order,
+    so a rule variable not reached yet occurs in no bound term.  Its
+    first occurrence (firsts in the template) is therefore held in a
+    local, with no unify and no occurs check.  No local is walked, since
+    unify_all and apply walk what they read.
 
     Only the other positions are unified, in a dict s of the kernel's
     own.  An item whose other positions are all constants is checked by
-    equality, and an edge variable there is bound to the constant.  Any
+    equality, and a child variable there is bound to the constant.  Any
     other item calls unify_all once, after putting into s the locals its
     compound terms read.  A rule variable first met inside a compound
     lives in s alone.  Rule variables the body never bound each get a
@@ -368,7 +417,8 @@ def _compile_kernel(rule: Rule) -> Callable:
     The source runs with this module's globals, so the kernel looks up
     unify_all, apply and the rest here every time it runs.
     """
-    items, variables = rule.join_template
+    items, variables = _join_template(
+        rule.body[::-1] if leftward else rule.body, rule.head)
     head = rule.head.args
     consts: list = []  # rule terms the kernel reads, bound to K0, K1, ...
 
@@ -452,16 +502,18 @@ def _compile_kernel(rule: Rule) -> Callable:
         return tmp
 
     args = "".join(build(t) + ", " for t in head)
-    code.append(f"return _Trial({rule.head.category!r}, ({args}), e0.start, "
-                f"{edges[-1]}.end, {rule.id}, ({', '.join(edges)},))")
-    fn = f"rule_{rule.id}_kernel"
+    left, right = (edges[-1], "e0") if leftward else ("e0", edges[-1])
+    code.append(f"return _Trial({rule.head.category!r}, ({args}), "
+                f"{left}.start, {right}.end, {rule.id}, "
+                f"({', '.join(edges)},))")
+    fn = f"rule_{rule.id}_{'leftward_' if leftward else ''}kernel"
     source = "".join([
         f"def make({', '.join(f'K{i}' for i in range(len(consts)))}):\n",
         f"    def {fn}(chosen):\n",
         *(f"        {line}\n" for line in code),
         f"    return {fn}\n"])
     scope: dict = {}
-    exec(compile(source, f"<closure kernel of rule {rule.id}>", "exec"),
+    exec(compile(source, f"<{fn}>", "exec"),
          globals(), scope)
     return scope["make"](*consts)
 
@@ -617,13 +669,13 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     children in build order, which is the order in which the search
     created them.  Predicted roots must cover at least one token.
 
-    Rules are seated through their join templates in build order
-    (Rule.join_template rightward, Rule.reversed_join_template
-    leftward), as closure's kernels seat them, not renamed apart: each
-    child binds the first occurrences of rule variables directly in a
-    copy of the seating's substitution and unifies only the other
-    positions.  A completed seating gives every rule variable still
-    unbound a fresh variable of the same name, then builds the head.
+    The search only enumerates seatings: children, budget left and the
+    position reached.  Each complete seating is instantiated by the
+    rule's kernel for the build order (_kernel: the body-order kernel
+    closure uses rightward, the reversed one leftward), which unifies
+    the arguments and builds the head.  Unification is monotone, so a
+    seating whose prefix cannot unify fails in the kernel too, and the
+    seatings that succeed come out in the order of the search.
 
     Subgoals (cat, pos, budget) are tabled within the call, as in OLDT
     resolution.  The chart, source and direction do not change during
@@ -648,21 +700,19 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     winning tree that share a subgoal lie on one path, each built from
     the one below, so a trial occurs at most once in the tree and
     replayed trials never share variables within it; alternatives that
-    reuse one trial each unify it under their own persistent
-    substitution.  Gap correspondents come from the chart's table for
-    the source (_correspondents), filled by one walk of its derivation.
+    reuse one trial each unify it in a kernel call of their own, which
+    binds in a dict of its own.  Gap correspondents come from the
+    chart's table for the source (_correspondents), filled by one walk
+    of its derivation.
     """
     # touching(cat, pos): chart edges on the anchored side of pos; far(e):
     # where the next item in build order starts; step: build order;
-    # template(rule): the rule's join template in build order;
     # cycles: the corner cycles of build order
     if direction == RIGHTWARD:
         touching, far, step = chart.at_start, attrgetter("end"), 1
-        template = attrgetter("join_template")
         cycles = grammar.left_corner_cycles
     elif direction == LEFTWARD:
         touching, far, step = chart.at_end, attrgetter("start"), -1
-        template = attrgetter("reversed_join_template")
         cycles = grammar.right_corner_cycles
     else:
         raise ValueError(f"unknown direction {direction!r}")
@@ -715,57 +765,39 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
                 return
             table.update(zip(keys, rebuilt))
 
-    def seat(body: tuple, plan: tuple, k: int, pos_k: int, s: dict,
-             budget_k: int, kids: tuple):
-        """Yield (substitution, budget left, children, end) for every
-        seating of body[k:], the body in build order with plan its join
-        template items; end is the position the seating reaches."""
+    def seat(body: tuple, k: int, pos_k: int, budget_k: int, kids: tuple):
+        """Yield (children, budget left, end) for every seating of
+        body[k:], the body in build order; end is the position the
+        seating reaches."""
         if k == len(body):
-            yield s, budget_k, kids, pos_k
+            yield kids, budget_k, pos_k
             return
         item = body[k]
         if isinstance(item, Terminal):
             for e in touching(item.word, pos_k):
-                yield from seat(body, plan, k + 1, far(e), s, budget_k,
-                                kids + (e,))
+                yield from seat(body, k + 1, far(e), budget_k, kids + (e,))
             return
-        firsts, rest_at, rest = plan[k]
         for child, budget2 in options(item.category, pos_k, budget_k):
-            args = child.args
-            s2 = s
-            if firsts:
-                s2 = s.copy()
-                for j, vid in firsts:
-                    s2[vid] = walk(s, args[j])
-            if rest:
-                s2 = unify_all(rest, [args[j] for j in rest_at], s2)
-                if s2 is None:
-                    continue
-            yield from seat(body, plan, k + 1, far(child), s2, budget2,
+            yield from seat(body, k + 1, far(child), budget2,
                             kids + (child,))
 
     def build(key: tuple):
         """Yield (_Trial, budget left) for constituents of cat built from
         the rules, touching pos, width >= 1."""
-        # Not renamed apart: each build starts from EMPTY_SUBST and its
-        # trials leave with every rule variable applied or freshened, so a
-        # rule active at several levels of one search tree never meets its
-        # own variables in a child; gap arguments come from chart edges,
-        # which hold no rule variable either.
+        # Not renamed apart: a kernel's trial leaves with every rule
+        # variable applied or freshened (_compile_kernel), so a rule
+        # active at several levels of one search tree never meets its own
+        # variables in a child
         cat, pos, budget = key
         for rule in grammar.rules_for(cat):
-            plan, variables = template(rule)
-            for s, budget_left, kids, reached in seat(
-                    rule.body[::step], plan, 0, pos, EMPTY_SUBST, budget, ()):
+            kernel = _kernel(rule, direction == LEFTWARD)
+            for kids, budget_left, reached in seat(
+                    rule.body[::step], 0, pos, budget, ()):
                 if reached == pos:
                     continue  # an all-gap constituent reconstructs nothing
-                s = s.copy()
-                for vid, name in variables:
-                    if vid not in s:
-                        s[vid] = fresh_var(name)
-                start, end = (pos, reached)[::step]
-                yield _Trial(cat, tuple(apply(s, t) for t in rule.head.args),
-                             start, end, rule.id, kids), budget_left
+                trial = kernel(kids)
+                if trial is not None:
+                    yield trial, budget_left
 
     def commit(node) -> Edge:
         """Add a winning tree to the chart, post-order; returns its root."""

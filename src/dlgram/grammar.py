@@ -19,9 +19,13 @@ from functools import cached_property
 from importlib import resources
 from typing import Optional, Union
 
-from .terms import Compound, Const, Term, Var, fresh_var, to_text
+from .terms import Compound, Const, Term, fresh_var, to_text
 
 DEFAULT_CONNECTIVES = ("and", "or", "but")
+
+# where engine keeps a rule's kernels in the rule's __dict__, by build
+# order: body order, then reversed
+KERNEL_ATTRS = ("kernel", "leftward_kernel")
 
 
 @dataclass(frozen=True)
@@ -63,68 +67,17 @@ class Rule:
         return all(isinstance(it, Terminal) for it in self.body)
 
     @cached_property
-    def join_template(self) -> tuple:
-        """How closure and rightward prediction seat the rule, worked out
-        once: (items, variables).
-
-        items has one entry per body item: None for a terminal, else
-        (firsts, rest_at, rest).  firsts are the (position, variable id)
-        pairs whose argument is the first occurrence of a rule variable
-        in body order; rest_at are the other positions and rest their
-        rule terms.  variables is every (id, name) of the rule, the
-        head-only ones included.
-        """
-        return _join_template(self.body, self.head)
-
-    @cached_property
-    def reversed_join_template(self) -> tuple:
-        """join_template over the reversed body, the order in which
-        leftward prediction seats it: items run from the last body item
-        to the first, and a first occurrence is first in that order."""
-        return _join_template(self.body[::-1], self.head)
-
-    @cached_property
     def seat_keys(self) -> tuple:
         """The seat_key of each body item, in body order."""
         return tuple(map(seat_key, self.body))
 
     def __getstate__(self) -> dict:
-        """The rule's state for pickling, without the closure kernel that
-        engine keeps beside the cached properties: a compiled function,
-        which cannot be pickled and is compiled again on first use."""
+        """The rule's state for pickling, without the kernels that engine
+        keeps beside the cached properties (KERNEL_ATTRS): compiled
+        functions, which cannot be pickled and are compiled again on
+        first use."""
         return {k: v for k, v in self.__dict__.items()
-                if k != "closure_kernel"}
-
-
-def _join_template(body: tuple, head: NonTerminal) -> tuple:
-    """Rule.join_template of a body taken in the given order."""
-    seen: dict = {}  # variable id -> name, in order of occurrence
-    items = []
-    for it in body:
-        if isinstance(it, Terminal):
-            items.append(None)
-            continue
-        firsts, rest_at, rest = [], [], []
-        for k, a in enumerate(it.args):
-            if isinstance(a, Var) and a.id not in seen:
-                firsts.append((k, a.id))
-            else:
-                rest_at.append(k)
-                rest.append(a)
-            _note_vars(a, seen)
-        items.append((tuple(firsts), tuple(rest_at), tuple(rest)))
-    for a in head.args:
-        _note_vars(a, seen)
-    return tuple(items), tuple(seen.items())
-
-
-def _note_vars(t: Term, seen: dict) -> None:
-    """Record the variables of t in seen, left to right."""
-    if isinstance(t, Var):
-        seen.setdefault(t.id, t.name)
-    elif isinstance(t, Compound):
-        for a in t.args:
-            _note_vars(a, seen)
+                if k not in KERNEL_ATTRS}
 
 
 @dataclass(frozen=True)

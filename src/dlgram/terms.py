@@ -13,9 +13,8 @@ bound.
 A substitution is a plain dict from variable id to term.  unify never
 mutates the one it is given but returns a new dict, so abandoning a
 failed search branch is just dropping the value, never undoing
-mutations; a caller that owns a dict (a closure kernel, whose bindings
-never leave the call, or a copy engine.predict has just made) may add
-bindings to it directly.
+mutations.  Only engine's rule kernels add bindings to a dict directly:
+each owns the dict it binds in, and its bindings never leave the call.
 Bindings may mention other bound variables; apply resolves them to
 fixpoint, and the occurs check in unify rules out cycles.
 

@@ -6,18 +6,19 @@ the term primitives and the coordination hook with the engine, not the
 semi-naive join it is checking.
 
 untabled_predict is engine.predict as it was before its subgoals were
-tabled and before it seated rules through their join templates: every
-subgoal is searched afresh each time it comes up, down to
-UNTABLED_DEPTH_CAP rule levels, and every build renames its rule apart
-and unifies each body item in full.  It finds each gap's correspondent
+tabled and before its seatings went through the rules' compiled
+kernels: every subgoal is searched afresh each time it comes up, down
+to UNTABLED_DEPTH_CAP rule levels, and every build renames its rule
+apart and unifies each body item in full as it seats it, so a seating
+whose prefix fails is cut there.  It finds each gap's correspondent
 with _find_correspondent, one derivation walk per gap category, where
 the engine reads a per-chart table filled by one walk per source.
 
 renaming_instantiate, which naive_parse uses, instantiates a seating
-as closure did before rules had join templates and compiled kernels
-(engine._compile_kernel): the rule is renamed apart for every seating,
-each body item is unified in full, and the head is built by applying
-the substitution to the head arguments.
+as closure and prediction did before rules had compiled kernels
+(engine._compile_kernel, one per build order): the rule is renamed
+apart for every seating, each body item is unified in full, and the
+head is built by applying the substitution to the head arguments.
 
 walking_apply and walking_occurs are terms.apply and the occurs check
 as they were before compounds cached their variables: both descend into

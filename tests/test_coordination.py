@@ -4,7 +4,7 @@ from dlgram import parse
 from dlgram.coordination import (CoordinationState, attempt, combine, post,
                                  refresh_agenda)
 from dlgram.engine import Coordinated, assert_input, close, tokenize
-from dlgram.grammar import parse_term
+from dlgram.grammar import parse_grammar, parse_term
 from dlgram.terms import canonical_text, is_variant, is_variant_seq
 from oracle_impls import edge_key_set
 
@@ -45,6 +45,21 @@ def test_post_is_idempotent_per_conj_edge(french):
     second = post(chart, state)
     chart.drop_layer_if_empty()
     assert len(first) == 1 and second == []
+
+
+def test_post_skips_a_conjunction_gap():
+    # prediction rebuilds the elided conj(or) of the second conjunct as a
+    # zero-width gap, whose argument is a fresh variable, not a
+    # connective: the gap stays in the chart and posts nothing
+    grammar = parse_grammar(
+        "s --> a. a --> b, conj(or), b, [y]. b --> [x]. "
+        "conj(and) --> [and]. conj(or) --> [or].")
+    run = parse(grammar, "x or x y and x y", gap_budget=2)
+    assert any(e.category == "conj" and e.is_gap for e in run.chart.edges)
+    assert [(c.n, c.m, c.connective) for c in run.constraints] == [
+        (4, 5, "and"), (1, 2, "or")]
+    assert not any(line.startswith("C3") for line in run.log)
+    assert [repr(r.root) for r in run.results] == ["s(0,7)"]
 
 
 # --- refresh_agenda ---------------------------------------------------------

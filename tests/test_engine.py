@@ -18,7 +18,7 @@ import oracle_impls
 from dlgram import parse
 from dlgram.engine import (CORNER_CYCLE_ROUNDS, D_CATEGORY, Chart, Derived,
                            Gap, InputWord, LEFTWARD, LayerCapError, Predicted,
-                           RIGHTWARD, _by_seat_key, _closure_kernel,
+                           RIGHTWARD, _by_seat_key, _kernel,
                            _same_answers, _Trial, assert_input, close,
                            derivation_edges, format_derivation, match_rule,
                            predict, tokenize)
@@ -353,18 +353,21 @@ def test_gap_in_the_newest_layer_seats_nothing(gap_layer):
 
 
 def _same_instantiation(rule, chosen):
-    """Assert that the rule's closure kernel and the renaming oracle agree
-    on a seating; returns whether it succeeded."""
-    got = _closure_kernel(rule)(chosen)
+    """Assert that the rule's kernels and the renaming oracle agree on a
+    seating, the leftward kernel given it in reversed order; returns
+    whether it succeeded."""
     want = renaming_instantiate(rule, chosen)
-    assert (got is None) == (want is None), (rule.id, chosen)
-    if got is None:
-        return False
-    assert (got.category, canonical_text(got.args), got.start, got.end,
-            got.origin, got.children) == (
-        want.category, canonical_text(want.args), want.start, want.end,
-        want.origin, want.children), (rule.id, chosen)
-    return True
+    for leftward in (False, True):
+        order = -1 if leftward else 1
+        got = _kernel(rule, leftward)(chosen[::order])
+        assert (got is None) == (want is None), (rule.id, leftward, chosen)
+        if got is None:
+            continue
+        assert (got.category, canonical_text(got.args), got.start, got.end,
+                got.origin, got.children[::order]) == (
+            want.category, canonical_text(want.args), want.start, want.end,
+            want.origin, want.children), (rule.id, leftward, chosen)
+    return want is not None
 
 
 def test_instantiate_equals_renaming_on_golden_charts(request):
@@ -442,19 +445,23 @@ def test_kernel_builds_a_head_nested_to_the_depth_bound():
     rule, chosen = _seat_on_chart(f"p({nested}) --> q(X), r(X).",
                                   [["g(A)"], ["g(b)"]])
     assert _same_instantiation(rule, chosen)
-    got = _closure_kernel(rule)(chosen).args[0]
+    got = _kernel(rule)(chosen).args[0]
     for _ in range(MAX_TERM_DEPTH - 1):
         got = got.args[0]
     assert canonical_text(got) == "g(b)"
 
 
 def test_a_grammar_pickles_after_closure_compiled_its_kernels(english):
-    # a rule keeps its kernel, a compiled function, out of its pickled
-    # state, so a grammar can still go to another process after a parse
+    # a rule keeps its kernels, compiled functions, out of its pickled
+    # state, so a grammar can still go to another process after a parse;
+    # the sentence's vp is predicted leftward, so both build orders have
+    # kernels to leave out
     run = parse(english, WOODS_SENT)
-    assert all("closure_kernel" in vars(r) for r in english.rules_for("np"))
+    assert all("kernel" in vars(r) for r in english.rules_for("np"))
+    assert any("leftward_kernel" in vars(r) for r in english.rules)
     copy = pickle.loads(pickle.dumps(english))
-    assert not any("closure_kernel" in vars(r) for r in copy.rules)
+    assert not any(attr in vars(r) for r in copy.rules
+                   for attr in ("kernel", "leftward_kernel"))
     assert edge_key_set(parse(copy, WOODS_SENT).chart) == edge_key_set(
         run.chart)
 
@@ -632,16 +639,29 @@ def compared(monkeypatch):
 @pytest.mark.parametrize("conjuncts, readings, edges, answers", [
     (4, 25, 171, 3), (5, 57, 332, 6), (6, 124, 647, 10)])
 def test_predict_tables_answers_not_derivations(english, conjuncts, readings,
-                                                edges, answers, compared):
+                                                edges, answers, compared,
+                                                monkeypatch):
     # a table entry holds one answer per variant (span, budget left,
     # arguments up to renaming), so the lists settle compares stay as
     # short as the distinct answers: 3 / 6 / 10 here.  Tabling every
     # derivation, the longest held 112 / 1,154 / 11,800, about ten times
-    # more per conjunct, for the same readings and chart
+    # more per conjunct, for the same readings and chart.  Each build
+    # asks the grammar for the rules of one category: 315 / 708 / 1,536
+    # calls, as many as when the search unified each child as it seated
+    # it, since a seating whose prefix fails also fails in the kernel
+    calls = []
+    rules_for = Grammar.rules_for
+
+    def counted(self, category):
+        calls.append(category)
+        return rules_for(self, category)
+
+    monkeypatch.setattr(Grammar, "rules_for", counted)
     chain = " and ".join(["each table"] * conjuncts)
     run = parse(english, f"a apple saw {chain}", all_solutions=True)
     assert (len(run.results), len(run.chart.edges)) == (readings, edges)
     assert 0 < max(map(max, compared)) <= answers + 2
+    assert len(calls) <= {4: 315, 5: 708, 6: 1536}[conjuncts] + 5
 
 
 def test_predict_table_keys_the_budget():
@@ -858,9 +878,9 @@ def _same_prediction(grammar, chart, *call):
 def test_predict_equals_renaming_oracle_on_recorded_calls(request,
                                                           monkeypatch):
     # every predict call that parsing the golden sentences and the pp-gap
-    # pools makes, replayed on a copy of the chart it saw: seated through
-    # join templates and tabled, predict finds what the untabled search
-    # that renames every rule per build finds
+    # pools makes, replayed on a copy of the chart it saw: instantiated
+    # through compiled kernels and tabled, predict finds what the untabled
+    # search that renames every rule per build finds
     calls = []
 
     def recording(grammar, chart, *call):

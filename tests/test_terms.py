@@ -99,7 +99,7 @@ def test_apply_shares_unbound_subterms():
 
 
 def test_empty_subst_stays_empty_after_a_parse(english):
-    # a closure kernel adds bindings to a dict it owns, never to EMPTY_SUBST
+    # a rule kernel adds bindings to a dict it owns, never to EMPTY_SUBST
     run = parse(english, "john drove the car through and demolished a window")
     assert run.results
     assert EMPTY_SUBST == {}
