@@ -655,7 +655,7 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     """Find or reconstruct a constituent of `category` touching `anchor`
     (starting there when rightward, ending there when leftward).
 
-    Recursive descent over the grammar rules, seating each body in build
+    Top-down search over the grammar rules, seating each body in build
     order: body order rightward, reversed body order leftward.  Each body
     nonterminal is satisfied by an existing chart edge, else by a
     constituent predicted from the rules, else, while the gap budget
@@ -684,11 +684,26 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     served, one answer per variant under the chart's structural key
     (_distinct), and its answers are replayed in the order found (an
     empty list records a failure).
+    The search runs on an explicit stack.  A build is a generator that
+    yields its answers and, where it needs a subgoal not yet tabled,
+    that subgoal's key.  One loop keeps the suspended builds on a list,
+    runs the build of each key it is given as a frame of its own, to
+    exhaustion, and sends its distinct answers back into the build that
+    asked; commit walks the winning tree with a list too.  Python's
+    stack holds one build's seating of one rule body at a time, however
+    deep the search goes.  The depth is bounded by the search itself: a
+    chain of subgoals through a corner cycle by CORNER_CYCLE_ROUNDS
+    (below), any other by the input and the gap budget, since a chain
+    meets a category again at the same position and budget only on a
+    corner cycle, and elsewhere spends a token or a gap before it does.
+    Time bounds it in practice: on a right-recursive chain each level's
+    subgoal has one answer per position its gap can take, so the
+    answers grow as the square of the chain, and 1,000 levels take
+    seconds.
     Every body item after the first in build order starts past a token
     or a gap, so a descent can meet its own subgoal again only through a
     corner cycle: categories that reach themselves through first items
-    in build order (Grammar.left_corner_cycles rightward,
-    Grammar.right_corner_cycles leftward).  Any other subgoal is built
+    in build order (Grammar.corner_cycles).  Any other subgoal is built
     once.  A subgoal on a corner cycle is settled: every member of the
     cycle at the same pos and budget is rebuilt in rounds, each reading
     the members' answers of the round before (none in the first), until
@@ -710,12 +725,12 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
     # cycles: the corner cycles of build order
     if direction == RIGHTWARD:
         touching, far, step = chart.at_start, attrgetter("end"), 1
-        cycles = grammar.left_corner_cycles
     elif direction == LEFTWARD:
         touching, far, step = chart.at_end, attrgetter("start"), -1
-        cycles = grammar.right_corner_cycles
     else:
         raise ValueError(f"unknown direction {direction!r}")
+    leftward = direction == LEFTWARD
+    cycles = grammar.corner_cycles[leftward]
 
     table: dict = {}  # (cat, pos, budget) -> [(_Trial, budget left)]
 
@@ -730,94 +745,120 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
             gap_args = tuple(fresh_var("_") for _ in range(grammar.arity(cat)))
         return _Trial(cat, gap_args, pos, pos, Gap(corr.id))
 
-    def options(cat: str, pos: int, budget: int):
-        """Yield (child, budget left) for a body nonterminal: existing
-        edges, shortest span first with ties broken by content (never by
-        edge id), then constituents built from the rules, then a gap."""
-        for e in sorted(touching(cat, pos),
-                        key=lambda e: (e.end - e.start, e.args_text)):
-            yield e, budget
-        yield from served((cat, pos, budget))
-        g = gap(cat, pos) if budget > 0 else None
-        if g is not None:
-            yield g, budget - 1
-
-    def served(key: tuple) -> list:
-        """The distinct answers of key, tabled whole before they are
-        served: settled with its corner cycle, or else built once."""
-        if key not in table:
-            if key[0] in cycles:
-                settle(key)
-            else:
-                table[key] = _distinct(build(key))
-        return table[key]
-
     def settle(key: tuple):
         """Table every member of key's corner cycle at key's pos and
-        budget, rebuilt in rounds until no member's answers change."""
+        budget, rebuilt in rounds until no member's answers change;
+        yields the key of each build, as seat does."""
         cat, pos, budget = key
         keys = [(member, pos, budget) for member in cycles[cat]]
         table.update((k, []) for k in keys)
         for _ in range(CORNER_CYCLE_ROUNDS):
             # every build of a round reads the table of the round before
-            rebuilt = [_distinct(build(k)) for k in keys]
+            rebuilt = []
+            for k in keys:
+                rebuilt.append((yield k))
             if all(map(_same_answers, rebuilt, map(table.get, keys))):
                 return
             table.update(zip(keys, rebuilt))
 
-    def seat(body: tuple, k: int, pos_k: int, budget_k: int, kids: tuple):
-        """Yield (children, budget left, end) for every seating of
-        body[k:], the body in build order; end is the position the
-        seating reaches."""
+    def seat(body: tuple, kernel: Callable, k: int, at: int, left: int,
+             kids: tuple):
+        """Yield (_Trial, budget left) for every seating of body[k:], the
+        body in build order, from position `at` with budget `left`, that
+        the kernel instantiates and that covers a token.  A body
+        nonterminal is seated on existing edges, shortest span first with
+        ties broken by content (never by edge id), then on constituents
+        built from the rules, then on a gap.  A subgoal is tabled whole
+        before it is served: settled with its corner cycle, or else built
+        once, by the loop, which runs the build of each key yielded here
+        and sends its distinct answers back."""
         if k == len(body):
-            yield kids, budget_k, pos_k
+            # an all-gap constituent reconstructs nothing: every child is
+            # a gap when the first one is a gap where the seating ends
+            if (kids[0].start, kids[0].end) != (at, at):
+                trial = kernel(kids)
+                if trial is not None:
+                    yield trial, left
             return
         item = body[k]
         if isinstance(item, Terminal):
-            for e in touching(item.word, pos_k):
-                yield from seat(body, k + 1, far(e), budget_k, kids + (e,))
+            for e in touching(item.word, at):
+                yield from seat(body, kernel, k + 1, far(e), left, kids + (e,))
             return
-        for child, budget2 in options(item.category, pos_k, budget_k):
-            yield from seat(body, k + 1, far(child), budget2,
-                            kids + (child,))
+        cat = item.category
+        for e in sorted(touching(cat, at),
+                        key=lambda e: (e.end - e.start, e.args_text)):
+            yield from seat(body, kernel, k + 1, far(e), left, kids + (e,))
+        key = (cat, at, left)
+        if key not in table:
+            if cat in cycles:
+                yield from settle(key)
+            else:
+                table[key] = yield key
+        for t, spare in table[key]:
+            yield from seat(body, kernel, k + 1, far(t), spare, kids + (t,))
+        g = gap(cat, at) if left > 0 else None
+        if g is not None:
+            yield from seat(body, kernel, k + 1, at, left - 1, kids + (g,))
 
     def build(key: tuple):
         """Yield (_Trial, budget left) for constituents of cat built from
-        the rules, touching pos, width >= 1."""
+        the rules, touching pos, width >= 1, and the key of each untabled
+        subgoal they need (seat)."""
         # Not renamed apart: a kernel's trial leaves with every rule
         # variable applied or freshened (_compile_kernel), so a rule
         # active at several levels of one search tree never meets its own
         # variables in a child
         cat, pos, budget = key
         for rule in grammar.rules_for(cat):
-            kernel = _kernel(rule, direction == LEFTWARD)
-            for kids, budget_left, reached in seat(
-                    rule.body[::step], 0, pos, budget, ()):
-                if reached == pos:
-                    continue  # an all-gap constituent reconstructs nothing
-                trial = kernel(kids)
-                if trial is not None:
-                    yield trial, budget_left
+            yield from seat(rule.body[::step], _kernel(rule, leftward), 0,
+                            pos, budget, ())
 
-    def commit(node) -> Edge:
-        """Add a winning tree to the chart, post-order; returns its root."""
-        if isinstance(node, Edge):
-            return node
-        prov = node.origin
-        if not isinstance(prov, Gap):
-            kids = [commit(c).id for c in node.children]
-            prov = Predicted(prov, tuple(kids[::step]))
-        return chart.add(node.category, node.args, node.start, node.end, prov)[0]
+    def commit(root: _Trial) -> Edge:
+        """Add a winning tree to the chart, post-order with children in
+        build order, and return its root's edge."""
+        trials, todo = [], [root]
+        while todo:  # each trial before its children, the last child first
+            node = todo.pop()
+            trials.append(node)
+            todo.extend(c for c in node.children if isinstance(c, _Trial))
+        edges: dict = {}  # id of a committed trial -> its edge
+        for node in reversed(trials):
+            prov = node.origin
+            if not isinstance(prov, Gap):
+                kids = [edges.get(id(c), c).id for c in node.children]
+                prov = Predicted(prov, tuple(kids[::step]))
+            edges[id(node)] = chart.add(node.category, node.args, node.start,
+                                        node.end, prov)[0]
+        return edges[id(root)]
 
+    # the build running, its answers so far (None for the root's), and
+    # the suspended builds below it, innermost last
+    frame, answers = build((category, anchor, gap_budget)), None
+    stack: list = []
+    sent = None
     try:
-        for root, _budget in build((category, anchor, gap_budget)):
-            return commit(root)
-        return None
+        while True:
+            try:
+                out = frame.send(sent)
+            except StopIteration:
+                if not stack:
+                    return None
+                sent = _distinct(answers)
+                frame, answers = stack.pop()
+                continue
+            sent = None
+            if len(out) == 3:  # an untabled subgoal's key: run its build
+                stack.append((frame, answers))
+                frame, answers = build(out), []
+            elif answers is None:  # the root's first answer wins
+                return commit(out[0])
+            else:
+                answers.append(out)
     finally:
-        # these refer to each other and commit to itself; unlinked, they
-        # free the table and the chart on return instead of waiting for
-        # the cycle collector
-        seat = build = options = served = settle = commit = None
+        # these refer to each other; unlinked, they free the table and
+        # the chart on return instead of waiting for the cycle collector
+        seat = build = settle = None
 
 
 def format_derivation(chart: Chart, root: Edge) -> str:

@@ -151,22 +151,15 @@ class Grammar:
         return [self.rules[i] for i in sorted(found)]
 
     @cached_property
-    def left_corner_cycles(self) -> dict:
-        """Each category that reaches itself through first body items,
-        mapped to the members of its cycle: where rightward prediction
-        can meet its own subgoal again."""
-        return _cycles((r.head.category, r.body[0].category)
-                       for r in self.rules
-                       if isinstance(r.body[0], NonTerminal))
-
-    @cached_property
-    def right_corner_cycles(self) -> dict:
-        """Each category that reaches itself through last body items,
-        mapped to the members of its cycle: where leftward prediction can
-        meet its own subgoal again."""
-        return _cycles((r.head.category, r.body[-1].category)
-                       for r in self.rules
-                       if isinstance(r.body[-1], NonTerminal))
+    def corner_cycles(self) -> tuple:
+        """Where prediction can meet its own subgoal again, per build
+        order (body order, then reversed): each category that reaches
+        itself through first body items in that order, mapped to the
+        members of its cycle."""
+        return tuple(_cycles((r.head.category, r.body[end].category)
+                             for r in self.rules
+                             if isinstance(r.body[end], NonTerminal))
+                     for end in (0, -1))
 
     def arity(self, category: str) -> int:
         return self.category_arities.get(category, 0)
@@ -334,6 +327,15 @@ def parse_term(text: str, varmap: Optional[dict] = None) -> Term:
     return t
 
 
+# directive -> the token kinds of its arguments
+_DIRECTIVES = {"start": ("IDENT",), "conj": ("IDENT",),
+               "scope": ("IDENT", "NUMBER"), "quant": ("IDENT",),
+               "connective": ("IDENT",)}
+# the directives declared once per name their first argument gives; the
+# others are declared once per grammar
+_PER_NAME = ("scope", "quant", "connective")
+
+
 def parse_grammar(source: str, strict: bool = True) -> Grammar:
     """Parse grammar source into a Grammar.
 
@@ -344,11 +346,8 @@ def parse_grammar(source: str, strict: bool = True) -> Grammar:
     """
     p = _Parser(source)
     rules = []
-    directives: dict = {}
-    scope_args: dict = {}
-    quantifiers: list = []
-    connectives: list = []
-    conj_line = None  # line of the @conj directive
+    # directive -> {the name it declares, or None: (last argument, line)}
+    declared: dict = {name: {} for name in _DIRECTIVES}
 
     while p.peek().kind != "EOF":
         t = p.peek()
@@ -356,36 +355,16 @@ def parse_grammar(source: str, strict: bool = True) -> Grammar:
             p.next()
             name_tok = p.expect("IDENT")
             name = name_tok.text
-            if name in ("start", "conj"):
-                val = p.expect("IDENT").text
-                if name in directives:
-                    raise GrammarSyntaxError(
-                        f"duplicate @{name} directive", name_tok.line, name_tok.col)
-                directives[name] = val
-                if name == "conj":
-                    conj_line = name_tok.line
-            elif name == "scope":
-                cat = p.expect("IDENT").text
-                pos_tok = p.expect("NUMBER")
-                if cat in scope_args:
-                    raise GrammarSyntaxError(
-                        f"duplicate @scope directive for {cat}", name_tok.line, name_tok.col)
-                scope_args[cat] = int(pos_tok.text)
-            elif name == "quant":
-                functor = p.expect("IDENT").text
-                if functor in quantifiers:
-                    raise GrammarSyntaxError(
-                        f"duplicate @quant directive for {functor}", name_tok.line, name_tok.col)
-                quantifiers.append(functor)
-            elif name == "connective":
-                atom = p.expect("IDENT").text
-                if atom in connectives:
-                    raise GrammarSyntaxError(
-                        f"duplicate @connective directive for {atom}", name_tok.line, name_tok.col)
-                connectives.append(atom)
-            else:
+            if name not in _DIRECTIVES:
                 raise GrammarSyntaxError(
                     f"unknown directive @{name}", name_tok.line, name_tok.col)
+            args = [p.expect(kind).text for kind in _DIRECTIVES[name]]
+            key = args[0] if name in _PER_NAME else None
+            if key in declared[name]:
+                what = "" if key is None else f" for {key}"
+                raise GrammarSyntaxError(f"duplicate @{name} directive{what}",
+                                         name_tok.line, name_tok.col)
+            declared[name][key] = args[-1], name_tok.line
             p.expect("DOT")
             continue
 
@@ -421,22 +400,23 @@ def parse_grammar(source: str, strict: bool = True) -> Grammar:
             if isinstance(it, NonTerminal):
                 arities.setdefault(it.category, len(it.args))
 
+    start, conj = (declared[name].get(None) for name in ("start", "conj"))
     g = Grammar(
         rules=tuple(rules),
-        start=directives.get("start", rules[0].head.category),
-        conj_category=directives.get("conj", "conj"),
-        scope_args=scope_args,
-        quantifiers=tuple(quantifiers),
-        connectives=tuple(connectives) if connectives else DEFAULT_CONNECTIVES,
+        start=start[0] if start else rules[0].head.category,
+        conj_category=conj[0] if conj else "conj",
+        scope_args={cat: int(n) for cat, (n, _) in declared["scope"].items()},
+        quantifiers=tuple(declared["quant"]),
+        connectives=tuple(declared["connective"]) or DEFAULT_CONNECTIVES,
         category_arities=arities,
     )
 
     errors = [d for d in validate(g) if d.severity == "error"] if strict else []
-    if conj_line is not None and not g.rules_for(g.conj_category):
+    if conj is not None and not g.rules_for(g.conj_category):
         errors.append(Diagnostic(
             "error",
             f"conjunction directive names unknown category {g.conj_category}",
-            conj_line))
+            conj[1]))
     if errors:
         raise GrammarError(
             "; ".join(str(d) for d in errors), diagnostics=errors)

@@ -10,7 +10,9 @@ checkout this file is in, one process per run, in this order:
   at seeds 1-3, under gap budgets 1, 2 and the item's own, and again
   with --all-coord when the item has at most four conjunctions;
 - the --all-coord chain "a apple saw each table and ..." at 2-7
-  conjuncts, under gap budgets 1 and 2.
+  conjuncts, under gap budgets 1 and 2;
+- "v and w" and 200 u's on tests/deep_chain.dlg, under gap budgets 1
+  and 2: its revival round predicts through 200 levels of one subgoal.
 
 Each run prints one line: its argv (paths relative to the checkout),
 its exit code, and the sha256 of its stdout and of its stderr.  The
@@ -31,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("np-chain", "pp-gap", "short-mix")
 SEEDS = (1, 2, 3)
 CONNECTIVES = ("and", "et")
+DEEP_CHAIN = Path(__file__).resolve().parent / "deep_chain.dlg"
 
 
 def _workloads():
@@ -62,6 +65,9 @@ def sweep() -> list:
         chain = " and ".join(["each table"] * conjuncts)
         runs += [(english, f"a apple saw {chain}", budget, True)
                  for budget in (1, 2)]
+    deep = " ".join(["v", "and", "w"] + ["u"] * 200)
+    runs += [(DEEP_CHAIN.relative_to(ROOT), deep, budget, False)
+             for budget in (1, 2)]
     return runs
 
 

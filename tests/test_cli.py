@@ -47,6 +47,16 @@ def test_parse_french_trace(french_path, capsys):
     assert "n(7,7)" in out
 
 
+def test_parse_reports_no_parse_after_a_deep_prediction(capsys):
+    # the revival round predicts c1 after "and" through one c0 subgoal
+    # per u: 200 levels deep, and the search still ends in a plain answer
+    words = "v and w " + " ".join(["u"] * 200)
+    rc = main(["parse", "-g", str(Path(__file__).parent / "deep_chain.dlg"),
+               "-s", words])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (1, f"no parse: {words}\n", "")
+
+
 def test_check_ok(english_path, capsys):
     rc = main(["check", "-g", english_path])
     assert rc == 0

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import pickle
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -792,6 +793,47 @@ def test_predict_descends_as_deep_as_the_input(direction, rules, words,
     assert found.split()[0] == ("c1(1,19)" if direction == RIGHTWARD
                                 else "c1(0,18)")
     assert found.count("gap from") == 1
+
+
+def _predict_chain(rules, words, anchor, direction):
+    """predict c1 at anchor on the chain grammar of tests/deep_chain.dlg
+    with its c0 and c1 recursions replaced by rules, from the chart's
+    c0(v) as source, with a gap budget of 1."""
+    grammar = parse_grammar(f"c0 --> [v].\n{rules}\ns --> c1.\ns --> c0.\n"
+                            "conj(and) --> [and].\n")
+    chart = assert_input(words)
+    close(chart, grammar)
+    source = next(e for e in chart.edges if e.category == "c0")
+    return predict(grammar, chart, "c1", anchor, direction, source, 1)
+
+
+RIGHT_CHAIN = "c0 --> [u], c0.\nc1 --> [w], c0."
+
+
+@pytest.mark.parametrize("direction, rules, words, anchor, found", [
+    (RIGHTWARD, RIGHT_CHAIN, ["v", "and", "w"] + ["u"] * 100, 2, "c1(2,103)"),
+    (LEFTWARD, "c0 --> c0, [u].\nc1 --> c0, [w].",
+     ["u"] * 100 + ["w", "and", "v"], 101, "c1(0,101)")],
+    ids=[RIGHTWARD, LEFTWARD])
+def test_predict_keeps_a_flat_stack(direction, rules, words, anchor, found):
+    # c1 covers a chain of 100 c0 subgoals, each built from the one past
+    # its u, with a gap at the far end; the search keeps its subgoals on
+    # a stack of its own, so 120 Python frames above the caller suffice
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 120)
+    try:
+        e = _predict_chain(rules, words, anchor, direction)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert repr(e) == found
+
+
+def test_predict_descends_through_600_levels():
+    # one c0 subgoal per u, with one answer per position its gap can
+    # take, so the answers grow as the square of the chain
+    e = _predict_chain(RIGHT_CHAIN, ["v", "and", "w"] + ["u"] * 600, 2,
+                       RIGHTWARD)
+    assert repr(e) == "c1(2,603)"
 
 
 @pytest.mark.parametrize("rules", ["a --> a.", "a --> b.\nb --> a."])

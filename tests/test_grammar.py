@@ -114,6 +114,24 @@ def test_duplicate_directive_rejected():
         parse_grammar("@start a.\n@start b.\na --> [x].")
 
 
+@pytest.mark.parametrize("directives, message", [
+    ("@start a.\n@start b.", "duplicate @start directive at line 2, column 2"),
+    ("@conj c. @conj c.", "duplicate @conj directive at line 1, column 11"),
+    ("@scope a 1.\n@scope b 1.\n  @scope a 1.",
+     "duplicate @scope directive for a at line 3, column 4"),
+    ("@quant q.\n@quant r. @quant q.",
+     "duplicate @quant directive for q at line 2, column 12"),
+    ("\n@connective and. @connective or.\n@connective and.",
+     "duplicate @connective directive for and at line 3, column 2"),
+    ("@start a.\n @frob a.", "unknown directive @frob at line 2, column 3")])
+def test_directive_errors_name_the_directive_and_where(directives, message):
+    # each directive may be declared once, or once per category, functor
+    # or connective it names; the error points at the directive's name
+    with pytest.raises(GrammarSyntaxError) as exc:
+        parse_grammar(f"{directives}\na --> [x].")
+    assert str(exc.value) == message
+
+
 def test_explicit_conj_directive_must_name_a_category():
     with pytest.raises(GrammarError, match="unknown category cc"):
         parse_grammar("@conj cc.\ns --> [a].")
