@@ -864,13 +864,13 @@ def predict(grammar: Grammar, chart: Chart, category: str, anchor: int,
 def format_derivation(chart: Chart, root: Edge) -> str:
     """Indented rendering of a derivation tree, one edge per line."""
     lines: list = []
-
-    def walk(e: Edge, indent: int):
+    stack = [(root, 0)]
+    while stack:
+        e, indent = stack.pop()
         lines.append("  " * indent + f"{e!r}  [{e.provenance.text()}]")
-        for k in _children(chart, e):
-            walk(chart.edges[k], indent + 1)
-
-    walk(root, 0)
+        # reversed, so the children are popped left to right
+        stack += [(chart.edges[k], indent + 1)
+                  for k in reversed(_children(chart, e))]
     return "\n".join(lines)
 
 

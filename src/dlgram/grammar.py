@@ -14,10 +14,11 @@ variable namespace per rule; terminals are bracketed lowercase words.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .terms import Compound, Const, Term, fresh_var, to_text
 
@@ -117,14 +118,21 @@ class Grammar:
     scope_args: dict = field(default_factory=dict)
     quantifiers: tuple = ()
     connectives: tuple = DEFAULT_CONNECTIVES
-    category_arities: dict = field(default_factory=dict)
+    # category -> its number of arguments at first use, in rule order
+    category_arities: dict = field(init=False)
     # head category -> its rules, in grammar order
     _by_head: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        arities: dict = {}
         by_head: dict = {}
         for r in self.rules:
+            arities.setdefault(r.head.category, len(r.head.args))
+            for it in r.body:
+                if isinstance(it, NonTerminal):
+                    arities.setdefault(it.category, len(it.args))
             by_head.setdefault(r.head.category, []).append(r)
+        self.category_arities = arities
         self._by_head = {cat: tuple(rs) for cat, rs in by_head.items()}
 
     def rules_for(self, category: str) -> tuple:
@@ -188,14 +196,20 @@ def _cycles(links) -> dict:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_PUNCT = {
-    "(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
-    ",": "COMMA", ".": "DOT", "@": "AT",
-}
+# One alternative per token kind, tried in this order at each position.
+# \s is str.isspace() and \w is str.isalnum() or "_", code point by code
+# point; a NAME must start with a letter or "_", so one that starts with
+# any other \w character is unexpected, as is a BAD one.
+_TOKEN = re.compile(r"""
+    (?P<NEWLINE>\n) | (?P<SKIP>[^\S\n]+) | (?P<COMMENT>%[^\n]*)
+  | (?P<ARROW>-->) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<LBRACK>\[)
+  | (?P<RBRACK>\]) | (?P<COMMA>,) | (?P<DOT>\.) | (?P<AT>@)
+  | (?P<NUMBER>[0-9]+)  # ASCII only: int() reads other digits too
+  | (?P<NAME>\w+) | (?P<BAD>.)
+""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     text: str
     line: int
@@ -204,51 +218,20 @@ class _Tok:
 
 def _tokenize(source: str):
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("-->", i):
-            toks.append(_Tok("ARROW", "-->", line, col))
-            i += 3
-            col += 3
-            continue
-        if c in _PUNCT:
-            toks.append(_Tok(_PUNCT[c], c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            kind = "VAR" if (text[0].isupper() or text[0] == "_") else "IDENT"
+    kind, line, line_start = None, 1, 0
+    for m in _TOKEN.finditer(source):
+        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "NAME" and (text[0].isalpha() or text[0] == "_"):
+            kind = "VAR" if text[0].isupper() or text[0] == "_" else "IDENT"
+        if kind == "NAME" or kind == "BAD":
+            raise GrammarSyntaxError(f"unexpected character {text[0]!r}", line, col)
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind != "SKIP" and kind != "COMMENT":
             toks.append(_Tok(kind, text, line, col))
-            col += i - start
-            continue
-        if "0" <= c <= "9":  # ASCII only: int() reads other digits too
-            start = i
-            while i < n and "0" <= source[i] <= "9":
-                i += 1
-            toks.append(_Tok("NUMBER", source[start:i], line, col))
-            col += i - start
-            continue
-        raise GrammarSyntaxError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("EOF", "", line, col))
+    # the end of input, or the start of the comment the input ends in
+    end = m.start() if kind == "COMMENT" else len(source)
+    toks.append(_Tok("EOF", "", line, end - line_start + 1))
     return toks
 
 
@@ -386,19 +369,10 @@ def parse_grammar(source: str, strict: bool = True) -> Grammar:
                 continue
             break
         p.expect("DOT")
-        if not body:
-            raise GrammarSyntaxError("empty rule body", t.line, t.col)
         rules.append(Rule(len(rules), head, tuple(body), line=t.line))
 
     if not rules:
         raise GrammarError("a grammar needs at least one rule")
-
-    arities: dict = {}
-    for r in rules:
-        arities.setdefault(r.head.category, len(r.head.args))
-        for it in r.body:
-            if isinstance(it, NonTerminal):
-                arities.setdefault(it.category, len(it.args))
 
     start, conj = (declared[name].get(None) for name in ("start", "conj"))
     g = Grammar(
@@ -408,7 +382,6 @@ def parse_grammar(source: str, strict: bool = True) -> Grammar:
         scope_args={cat: int(n) for cat, (n, _) in declared["scope"].items()},
         quantifiers=tuple(declared["quant"]),
         connectives=tuple(declared["connective"]) or DEFAULT_CONNECTIVES,
-        category_arities=arities,
     )
 
     errors = [d for d in validate(g) if d.severity == "error"] if strict else []
@@ -428,7 +401,7 @@ def validate(g: Grammar) -> list:
     diags = []
     heads = {r.head.category for r in g.rules}
 
-    # arities at first use, in rule order (parse_grammar builds the table)
+    # arities at first use, in rule order (Grammar builds the table)
     arities = g.category_arities
     for r in g.rules:
         uses = [(r.head.category, len(r.head.args))]

@@ -26,6 +26,10 @@ every subterm.
 
 ground-instance helpers decide unifiability of jointly-generated term
 pairs by enumerating all instantiations over a two-constant universe.
+
+scope_law_violations checks a parse's readings against the scope laws
+the paper's reconstruction promises: nothing left free, nothing
+quantified twice.
 """
 
 import importlib.util
@@ -77,6 +81,40 @@ def edge_key_set(chart):
     """Canonical content of a chart, independent of edge ids and layers."""
     return {(e.category, e.start, e.end, canonical_text(e.args))
             for e in chart.edges}
+
+
+def scope_law_violations(run, grammar) -> dict:
+    """The readings of a ParseRun that break a scope law, per law, as
+    (reading index, variable) pairs, one per variable and reading in
+    the order the walk meets them:
+
+    - "free": a variable of a start-category logical form that no
+      enclosing compound binds;
+    - "twice": a variable bound by a compound inside another that binds
+      it already.
+
+    A compound binds a variable when its functor is one of grammar's
+    @quant declarations and its first argument is that variable."""
+    quantifiers = set(grammar.quantifiers)
+    out: dict = {"free": [], "twice": []}
+    for i, result in enumerate(run.results):
+        found: dict = {"free": {}, "twice": {}}
+        stack = [(result.logical_form, frozenset())]
+        while stack:
+            t, bound = stack.pop()
+            if isinstance(t, Var):
+                if t not in bound:
+                    found["free"][t] = None
+            elif isinstance(t, Compound):
+                v = t.args[0]
+                if t.functor in quantifiers and isinstance(v, Var):
+                    if v in bound:
+                        found["twice"][v] = None
+                    bound = bound | {v}
+                stack += [(a, bound) for a in reversed(t.args)]
+        for law, variables in found.items():
+            out[law] += [(i, v) for v in variables]
+    return out
 
 
 def var_ids(t) -> set:

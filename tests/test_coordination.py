@@ -1,4 +1,7 @@
 import re
+from types import SimpleNamespace
+
+import pytest
 
 from dlgram import parse
 from dlgram.coordination import (CoordinationState, attempt, combine, post,
@@ -6,7 +9,8 @@ from dlgram.coordination import (CoordinationState, attempt, combine, post,
 from dlgram.engine import Coordinated, assert_input, close, tokenize
 from dlgram.grammar import parse_grammar, parse_term
 from dlgram.terms import canonical_text, is_variant, is_variant_seq
-from oracle_impls import edge_key_set
+import byte_sweep
+from oracle_impls import edge_key_set, scope_law_violations
 
 FRENCH_SENT = "jean mange une pomme rouge et une verte"
 WOODS_SENT = "john drove the car through and demolished a window"
@@ -239,3 +243,49 @@ def test_gap_budget_zero_blocks_elliptical_coordination(french):
     run = parse(french, FRENCH_SENT, gap_budget=0)
     assert run.results == []
     assert [c.status for c in run.constraints] == ["exhausted"]
+
+
+# --- scope laws -------------------------------------------------------------
+
+def test_scope_law_violations_name_each_variable_once():
+    # exists binds X again inside each's X; Y is free, named once for
+    # its three occurrences; def is no quantifier here, so W is free and
+    # Z is bound by each alone
+    forms = ["each(X,exists(X,p(X),q(Y)),r(Y,Y))",
+             "each(Z,def(W,Z))", "p(a)"]
+    run = SimpleNamespace(results=[SimpleNamespace(logical_form=parse_term(f))
+                                   for f in forms])
+    grammar = SimpleNamespace(quantifiers=("each", "exists"))
+    found = scope_law_violations(run, grammar)
+    assert [(i, v.name) for i, v in found["free"]] == [(0, "Y"), (1, "W")]
+    assert [(i, v.name) for i, v in found["twice"]] == [(0, "X")]
+
+
+@pytest.mark.parametrize("all_coord, counts", [
+    (False, {"runs": 210, "readings": 696, "free": 0, "twice": 0,
+             "free runs": 0}),
+    # every free variable rests on a gap of verb1, which has no @scope,
+    # or of vp, whose scope position is its whole semantics; sound
+    # reconstruction must bring these down on purpose
+    (True, {"runs": 126, "readings": 1987, "free": 1262, "twice": 0,
+            "free runs": 50})])
+def test_scope_laws_over_the_english_sweep(english, all_coord, counts):
+    # the English runs of tests/byte_sweep.py, in-process, with their gap
+    # budgets; "free" and "twice" count readings, "free runs" the
+    # distinct sentence/budget pairs with a free-variable reading
+    got = dict.fromkeys(counts, 0)
+    free_runs = set()
+    for path, sentence, budget, coord in byte_sweep.sweep():
+        if path.stem != "english_sem" or coord != all_coord:
+            continue
+        run = parse(english, sentence, gap_budget=budget,
+                    all_solutions=all_coord)
+        found = scope_law_violations(run, english)
+        got["runs"] += 1
+        got["readings"] += len(run.results)
+        for law in ("free", "twice"):
+            got[law] += len({i for i, _ in found[law]})
+        if found["free"]:
+            free_runs.add((sentence, budget))
+    got["free runs"] = len(free_runs)
+    assert got == counts

@@ -836,6 +836,29 @@ def test_predict_descends_through_600_levels():
     assert repr(e) == "c1(2,603)"
 
 
+def test_format_derivation_keeps_a_flat_stack():
+    # c1 over 100 c0 levels, each a u and the next c0, down to the gap;
+    # the rendering walks the tree on a stack of its own, so 50 Python
+    # frames above the caller suffice
+    grammar = load_grammar(Path(__file__).parent / "deep_chain.dlg")
+    chart = assert_input(["v", "and", "w"] + ["u"] * 100)
+    close(chart, grammar)
+    source = next(e for e in chart.edges if e.category == "c0")
+    root = predict(grammar, chart, "c1", 2, RIGHTWARD, source, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        lines = format_derivation(chart, root).split("\n")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(lines) == 203
+    assert lines[:4] == ["c1(2,103)  [predicted r2]",
+                         "  'D'(w,2,3)  [input]",
+                         "  c0(3,103)  [predicted r1]",
+                         "    'D'(u,3,4)  [input]"]
+    assert lines[-1] == "  " * 101 + "c0(103,103)  [gap from e103]"
+
+
 @pytest.mark.parametrize("rules", ["a --> a.", "a --> b.\nb --> a."])
 @pytest.mark.parametrize("budget", [0, 1])
 def test_predict_returns_on_unit_cycles(rules, budget):

@@ -1,7 +1,7 @@
 import pytest
 
 from dlgram.grammar import (Diagnostic, GrammarError, GrammarSyntaxError,
-                            NonTerminal, Terminal, grammar_text,
+                            NonTerminal, Terminal, _tokenize, grammar_text,
                             parse_grammar, validate)
 from dlgram.terms import Compound, Var, is_variant_seq
 
@@ -167,6 +167,58 @@ def test_number_is_ascii_digits(src, col):
     with pytest.raises(GrammarSyntaxError, match="unexpected character") as exc:
         parse_grammar(src)
     assert (exc.value.line, exc.value.col) == (1, col)
+
+
+@pytest.mark.parametrize("src, tokens, message", [
+    # the end of input is reported at the first column of the comment
+    # the input ends in
+    ("s --> np % x",
+     [("IDENT", "s", 1, 1), ("ARROW", "-->", 1, 3), ("IDENT", "np", 1, 7),
+      ("EOF", "", 1, 10)],
+     "expected DOT, found '' at line 1, column 10"),
+    # every whitespace character counts one column; only \n ends a line
+    ("s -->\tnp\r\n t",
+     [("IDENT", "s", 1, 1), ("ARROW", "-->", 1, 3), ("IDENT", "np", 1, 7),
+      ("IDENT", "t", 2, 2), ("EOF", "", 2, 3)],
+     "expected DOT, found 't' at line 2, column 2"),
+    ("a\u0085b\u3000c",
+     [("IDENT", "a", 1, 1), ("IDENT", "b", 1, 3), ("IDENT", "c", 1, 5),
+      ("EOF", "", 1, 6)],
+     "expected ARROW, found 'b' at line 1, column 3"),
+    # names are Unicode letters, digits and _; an uppercase first letter
+    # makes a variable
+    ("\u00e9 --> [\u00df].",
+     [("IDENT", "\u00e9", 1, 1), ("ARROW", "-->", 1, 3),
+      ("LBRACK", "[", 1, 7), ("IDENT", "\u00df", 1, 8),
+      ("RBRACK", "]", 1, 9), ("DOT", ".", 1, 10), ("EOF", "", 1, 11)],
+     None),
+    ("\u0130x --> [a].",
+     [("VAR", "\u0130x", 1, 1), ("ARROW", "-->", 1, 4), ("LBRACK", "[", 1, 8),
+      ("IDENT", "a", 1, 9), ("RBRACK", "]", 1, 10), ("DOT", ".", 1, 11),
+      ("EOF", "", 1, 12)],
+     "expected IDENT, found '\u0130x' at line 1, column 1"),
+    # a number is ASCII digits, and a name cannot start with one
+    ("12ab",
+     [("NUMBER", "12", 1, 1), ("IDENT", "ab", 1, 3), ("EOF", "", 1, 5)],
+     "expected IDENT, found '12' at line 1, column 1"),
+    ("-", None, "unexpected character '-' at line 1, column 1"),
+    ("s -> t", None, "unexpected character '-' at line 1, column 3"),
+])
+def test_reader_edge_cases(src, tokens, message):
+    # tokens None: the reader itself rejects src, with message
+    if tokens is None:
+        with pytest.raises(GrammarSyntaxError) as exc:
+            _tokenize(src)
+        assert str(exc.value) == message
+    else:
+        assert [(t.kind, t.text, t.line, t.col)
+                for t in _tokenize(src)] == tokens
+    if message is None:
+        assert parse_grammar(src).rules[0].head.category == tokens[0][1]
+    else:
+        with pytest.raises(GrammarSyntaxError) as exc:
+            parse_grammar(src)
+        assert str(exc.value) == message
 
 
 def test_missing_terminator():
